@@ -11,6 +11,10 @@ from collections import deque
 
 import numpy as np
 
+# Relative Tikhonov term added to the normal-equation matrix of the
+# constrained least-squares problem.
+_REGULARIZATION = 1e-12
+
 
 class AndersonWindow:
     """Sliding window of (iterate, image) pairs with constrained mixing.
@@ -19,39 +23,25 @@ class AndersonWindow:
     ----------
     depth : int
         Maximum number of stored pairs; 0 disables acceleration.
-    regularization : float
-        Relative Tikhonov term added to the normal-equation matrix of the
-        constrained least-squares problem.
-    restart_every : int or None
-        If set, the window is cleared after this many updates. Off by
-        default.
     """
 
-    def __init__(self, depth, regularization=1e-12, restart_every=None):
+    def __init__(self, depth):
         if depth < 0:
             raise ValueError("depth must be nonnegative")
         self.depth = depth
-        self.regularization = regularization
-        self.restart_every = restart_every
         self._pairs = deque(maxlen=max(depth, 1))
-        self._updates = 0
 
     def reset(self):
         self._pairs.clear()
-        self._updates = 0
 
     def update(self, x, gx):
         """Record the pair (x, G(x)) and return the next iterate."""
         x = np.asarray(x, dtype=float)
         gx = np.asarray(gx, dtype=float)
-        self._updates += 1
         if self.depth == 0:
             return gx.copy()
         self._pairs.append((x.copy(), gx.copy()))
-        out = self._mix()
-        if self.restart_every is not None and self._updates % self.restart_every == 0:
-            self._pairs.clear()
-        return out
+        return self._mix()
 
     def _mix(self):
         k = len(self._pairs)
@@ -62,7 +52,7 @@ class AndersonWindow:
         # minimize |R a|^2 s.t. sum(a) = 1 via KKT on the normal equations
         H = R.T @ R
         scale = np.trace(H) / k if np.trace(H) > 0 else 1.0
-        H = H + self.regularization * scale * np.eye(k)
+        H = H + _REGULARIZATION * scale * np.eye(k)
         KKT = np.zeros((k + 1, k + 1))
         KKT[:k, :k] = H
         KKT[:k, k] = 1.0

@@ -15,18 +15,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
-from . import grid
 from .grid import I_VOIGT
 
 _DENSE_EIG_LIMIT = 1300
-
-
-def _mass_stiffness(mesh):
-    if "mass" not in mesh._cache:
-        mesh._cache["mass"] = grid.assemble_mass(mesh)
-    if "stiffness" not in mesh._cache:
-        mesh._cache["stiffness"] = grid.assemble_stiffness(mesh)
-    return mesh._cache["mass"], mesh._cache["stiffness"]
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +31,7 @@ def dual_norm(s, mesh, mobility=1.0, mean_tol=1e-8):
     through a Lagrange multiplier, and returns sqrt(v^T (m K) v). The datum
     must have (numerically) zero mean against the mass matrix.
     """
-    M, K = _mass_stiffness(mesh)
+    M, K = mesh.mass, mesh.stiffness
     rhs_s = M @ np.asarray(s, dtype=float)
     total = float(np.sum(rhs_s))
     area = float(M.sum())
@@ -93,7 +84,7 @@ def estimate_constants(mesh, mobility=1.0):
     the same pencil scaled by the mobility, since the L2-to-dual-norm ratio
     of mean-zero functions is bounded by sqrt(lambda_max(m K, M)).
     """
-    M, K = _mass_stiffness(mesh)
+    M, K = mesh.mass, mesh.stiffness
     n = mesh.node_count
     if n <= _DENSE_EIG_LIMIT:
         vals = eigh(K.toarray(), M.toarray(), eigvals_only=True)

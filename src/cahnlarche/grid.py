@@ -60,6 +60,16 @@ def shape_gradients(pts):
     return np.stack([dx, dy], axis=2)
 
 
+def strain_displacement(grads):
+    """Strain-displacement matrices (nq, 3, 8) from gradients (nq, 4, 2)."""
+    B = np.zeros((grads.shape[0], 3, 8))
+    B[:, 0, 0::2] = grads[:, :, 0]
+    B[:, 1, 1::2] = grads[:, :, 1]
+    B[:, 2, 0::2] = grads[:, :, 1]
+    B[:, 2, 1::2] = grads[:, :, 0]
+    return B
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Structured quadrilateral mesh of the unit square."""
@@ -125,15 +135,22 @@ class Mesh:
     def b_matrices(self):
         """Strain-displacement matrices, (nq, 3, 8), engineering shear."""
         if "B" not in self._cache:
-            dN = self.phys_grads
-            nq = dN.shape[0]
-            B = np.zeros((nq, 3, 8))
-            B[:, 0, 0::2] = dN[:, :, 0]
-            B[:, 1, 1::2] = dN[:, :, 1]
-            B[:, 2, 0::2] = dN[:, :, 1]
-            B[:, 2, 1::2] = dN[:, :, 0]
-            self._cache["B"] = B
+            self._cache["B"] = strain_displacement(self.phys_grads)
         return self._cache["B"]
+
+    @property
+    def mass(self):
+        """Scalar mass matrix, assembled once per mesh."""
+        if "mass" not in self._cache:
+            self._cache["mass"] = assemble_mass(self)
+        return self._cache["mass"]
+
+    @property
+    def stiffness(self):
+        """Scalar stiffness matrix, assembled once per mesh."""
+        if "stiffness" not in self._cache:
+            self._cache["stiffness"] = assemble_stiffness(self)
+        return self._cache["stiffness"]
 
 
 @dataclass(frozen=True)
@@ -142,22 +159,6 @@ class DofMap:
 
     node_count: int
     constrained_dofs: np.ndarray  # global indices within the full system
-
-    @property
-    def n_total(self):
-        return 4 * self.node_count
-
-    @property
-    def phi_slice(self):
-        return slice(0, self.node_count)
-
-    @property
-    def mu_slice(self):
-        return slice(self.node_count, 2 * self.node_count)
-
-    @property
-    def u_slice(self):
-        return slice(2 * self.node_count, 4 * self.node_count)
 
 
 def build_mesh(n_per_side, quadrature_order=2):
@@ -375,15 +376,6 @@ def eliminate_dirichlet(matrix, rhs, dofs, values=None):
     return A, b
 
 
-def apply_dirichlet(matrix, rhs, dofmap, values=None):
-    """Constrain the u-block Dirichlet dofs of a full coupled system."""
-    lo, hi = dofmap.u_slice.start, dofmap.u_slice.stop
-    c = dofmap.constrained_dofs
-    if np.any(c < lo) or np.any(c >= hi):
-        raise ValueError("constrained dof outside the displacement block")
-    return eliminate_dirichlet(matrix, rhs, c, values)
-
-
 def solve_linear(matrix, rhs, tol=1e-10):
     """Sparse direct solve with an algebraic residual check."""
     A = matrix.tocsc()
@@ -405,11 +397,3 @@ def solve_linear(matrix, rhs, tol=1e-10):
             )
     return x
 
-
-def write_coo(matrix, path):
-    """Export a sparse matrix as (row, col, value) text for debugging."""
-    coo = matrix.tocoo()
-    with open(path, "w") as f:
-        f.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            f.write(f"{r} {c} {v:.17g}\n")

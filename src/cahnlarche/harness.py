@@ -212,14 +212,19 @@ def run_simulation(config, callback=None, estimate_bound=False):
         summary.constants = analysis.estimate_constants(mesh, mobility=config.m)
         summary.bound = analysis.rate_bound(params, summary.constants)
 
-    M = schemes._mesh_mass(mesh)
+    M = mesh.mass
     n_steps = int(round(config.t_final / config.tau))
-    kwargs = dict(stopping=stopping, max_outer=config.max_iterations)
-    if config.strategy == "alternating":
-        kwargs["anderson_depth"] = config.anderson_depth
-        if config.chord:
-            kwargs["chord"] = True
-            kwargs["inner_max_iter"] = 200
+    if config.strategy == "monolithic":
+        kwargs = dict(stopping=stopping, max_iter=config.max_iterations)
+    else:
+        # the chord's frozen Jacobian converges linearly: more inner passes
+        kwargs = dict(
+            stopping=stopping,
+            max_outer=config.max_iterations,
+            anderson_depth=config.anderson_depth,
+            chord=config.chord,
+            inner_max_iter=200 if config.chord else 50,
+        )
 
     record0 = _make_record(0, 0.0, 0, 0, True, 0.0, state, params, M)
     summary.steps.append(record0)

@@ -187,10 +187,7 @@ class ElasticLaw:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All scalar model parameters plus the elastic law and source fields.
-
-    R and f default to None, meaning zero sources (as in the experiments).
-    """
+    """All scalar model parameters plus the elastic law."""
 
     m: float = 1.0
     gamma: float = 5.0
@@ -199,8 +196,6 @@ class ModelParams:
     t_final: float = 0.01
     theta: float = 2.0
     elastic: ElasticLaw = field(default_factory=ElasticLaw)
-    R: object = None
-    f: object = None
 
     def __post_init__(self):
         for name in ("m", "gamma", "ell", "tau", "t_final"):

@@ -98,11 +98,11 @@ class SchemeContext:
 
     @property
     def M(self):
-        return _mesh_mass(self.mesh)
+        return self.mesh.mass
 
     @property
     def K(self):
-        return _mesh_stiffness(self.mesh)
+        return self.mesh.stiffness
 
     @property
     def R_nodal(self):
@@ -116,12 +116,6 @@ class SchemeContext:
         if "R_load" not in self._cache:
             self._cache["R_load"] = self.M @ self.R_nodal
         return self._cache["R_load"]
-
-    @property
-    def f_nodal(self):
-        if self.f is None:
-            return np.zeros(2 * self.mesh.node_count)
-        return self.f
 
     @property
     def f_load(self):
@@ -269,14 +263,10 @@ def _energy_rule(mesh):
         rule = grid.gauss_rule(4)
         vals = grid.shape_values(rule.points)
         grads = grid.shape_gradients(rule.points) / mesh.h
-        nq = rule.points.shape[0]
-        B = np.zeros((nq, 3, 8))
-        B[:, 0, 0::2] = grads[:, :, 0]
-        B[:, 1, 1::2] = grads[:, :, 1]
-        B[:, 2, 0::2] = grads[:, :, 1]
-        B[:, 2, 1::2] = grads[:, :, 0]
         weights = rule.weights * mesh.h**2
-        mesh._cache["energy_rule"] = (vals, grads, B, weights)
+        mesh._cache["energy_rule"] = (
+            vals, grads, grid.strain_displacement(grads), weights
+        )
     return mesh._cache["energy_rule"]
 
 
@@ -287,18 +277,6 @@ def _fields_at_energy_rule(mesh, phi, u):
     grad_qp = np.einsum("ei,qid->eqd", phi_e, grads)
     eps_qp = np.einsum("qca,ea->eqc", B, u[mesh.u_dofs])
     return phi_qp, grad_qp, eps_qp, w
-
-
-def _mesh_mass(mesh):
-    if "mass" not in mesh._cache:
-        mesh._cache["mass"] = grid.assemble_mass(mesh)
-    return mesh._cache["mass"]
-
-
-def _mesh_stiffness(mesh):
-    if "stiffness" not in mesh._cache:
-        mesh._cache["stiffness"] = grid.assemble_stiffness(mesh)
-    return mesh._cache["stiffness"]
 
 
 # ---------------------------------------------------------------------------
@@ -417,40 +395,25 @@ def residual(state, ctx):
 
 
 def jacobian(state, ctx):
-    """Exact derivative of ``residual`` at ``state`` (sparse, full system)."""
+    """Exact derivative of ``residual`` at ``state`` (sparse, full system).
+
+    The (phi, mu) block is ``ch_jacobian``; the coupling and elasticity
+    blocks are added around it.
+    """
     mesh = ctx.mesh
-    params = ctx.params
-    law = params.elastic
-    dw = params.double_well
-    M, K = ctx.M, ctx.K
+    law = ctx.params.elastic
     nn = mesh.node_count
 
-    phi_qp = grid.scalar_at_qp(mesh, state.phi)
-
-    J_pp = M / params.tau
-    J_pm = params.m * K
-
-    psi_cc = grid.assemble_weighted_mass(mesh, dw.psi_c_second(phi_qp))
-    base_mu_phi = -params.gamma * params.ell * K - (params.gamma / params.ell) * psi_cc
-
     if ctx.scheme_kind in ("homogeneous", "semi_implicit"):
-        J_mp = base_mu_phi - ctx.coupled_mass_prev
         J_mu = ctx.coupling_prev
         J_up = -ctx.coupling_prev.T.tocsr()
         J_uu = ctx.elastic_matrix_prev
     else:
+        phi_qp = grid.scalar_at_qp(mesh, state.phi)
         eps_qp = grid.strain_at_qp(mesh, state.u)
         e = eps_qp - law.xi * phi_qp[..., None] * I_VOIGT
         C = law.tensor(phi_qp)
         Cp = law.tensor_prime(phi_qp)
-        Cpp = law.tensor_second(phi_qp)
-        # d(dE/dphi)/dphi = 0.5 e:C''e - 2 xi I:C'e + xi^2 I:C I
-        g = (
-            0.5 * np.einsum("eqc,eqcd,eqd->eq", e, Cpp, e)
-            - 2.0 * law.xi * np.einsum("c,eqcd,eqd->eq", I_VOIGT, Cp, e)
-            + law.xi**2 * np.einsum("c,eqcd,d->eq", I_VOIGT, C, I_VOIGT)
-        )
-        J_mp = base_mu_phi - grid.assemble_weighted_mass(mesh, g)
         # d(dE/dphi)/du in direction eps(du): e:C' eps(du) - xi I:C eps(du)
         w = np.einsum("eqc,eqcd->eqd", e, Cp) - law.xi * np.einsum(
             "c,eqcd->eqd", I_VOIGT, C
@@ -460,13 +423,11 @@ def jacobian(state, ctx):
         J_up = G.T.tocsr()
         J_uu = grid.assemble_vector_elasticity(mesh, C, check=False)
 
-    Z_pu = sp.csr_matrix((nn, 2 * nn))
-    Z_mm = M
+    Z = sp.csr_matrix((nn, 2 * nn))  # phi rows do not see u, u rows not mu
     J = sp.bmat(
         [
-            [J_pp, J_pm, Z_pu],
-            [J_mp, Z_mm, J_mu],
-            [J_up, None, J_uu],
+            [ch_jacobian(state, ctx), sp.vstack([Z, J_mu])],
+            [sp.hstack([J_up, Z.T]), J_uu],
         ],
         format="csr",
     )

@@ -4,19 +4,20 @@ Two strategies solve the coupled optimality system:
 
 * ``newton_monolithic`` - exact Newton on the full (phi, mu, u) system.
 * ``alternating_minimization`` - outer loop alternating a Newton solve of
-  the phase-field block (displacement frozen) with a linear elasticity
-  solve, optionally wrapped in Anderson acceleration.
+  the phase-field block (``newton_ch_block``, displacement frozen) with a
+  linear elasticity solve, optionally wrapped in Anderson acceleration.
 
-Termination combines residual and increment criteria: the iteration stops
-once at least one residual criterion (absolute or relative) and at least
-one increment criterion hold simultaneously. Failure to converge is a
-reported outcome, not an exception.
+All three iterations run in one loop, ``_iterate``. A solver supplies its
+residual and its step, which returns the new iterate and the increment; the
+loop keeps the report, measures increments in L2, and stops once at least
+one residual criterion (absolute or relative) and at least one increment
+criterion hold simultaneously. Failure to converge is a reported outcome,
+not an exception.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import grid, schemes
 from .acceleration import AndersonWindow
@@ -85,20 +86,80 @@ class SolveReport:
         return max(moved, 1) if self.increment_norms else self.iterations
 
 
-def _l2_norms(mesh, dphi, dmu, du=None):
-    M = schemes._mesh_mass(mesh)
+def _l2_norms(mesh, dx):
+    """L2 norms of the phi, mu and (if present) u blocks of an increment."""
+    M = mesh.mass
+    nn = mesh.node_count
+    dphi, dmu, du = dx[:nn], dx[nn : 2 * nn], dx[2 * nn :]
     n_phi = np.sqrt(max(float(dphi @ (M @ dphi)), 0.0))
     n_mu = np.sqrt(max(float(dmu @ (M @ dmu)), 0.0))
-    if du is None or du.size == 0:
+    if du.size == 0:
         return (n_phi, n_mu)
     ux, uy = du[0::2], du[1::2]
     n_u = np.sqrt(max(float(ux @ (M @ ux)) + float(uy @ (M @ uy)), 0.0))
     return (n_phi, n_mu, n_u)
 
 
-def _apply_homogeneous_bc(state, ctx):
-    c = ctx.dofmap.constrained_dofs
-    state.u[c - 2 * ctx.mesh.node_count] = 0.0
+class _StepFailed(Exception):
+    """An iteration step could not continue; the message is the reason."""
+
+
+def _iterate(state, residual, step, stopping, max_iter, exhausted, r=None):
+    """The iteration shared by every solver.
+
+    Repeats ``state, dx = step(state, r)`` with ``r = residual(state)`` until
+    ``stopping`` holds, starting from the residual ``r`` if it is given.
+    Increments are measured by ``_l2_norms``; the first residual and the
+    first increment are the references of the relative criteria. A step
+    raising ``_StepFailed``, a residual raising ``DivergedIterateError`` or a
+    non-finite residual norm ends the iteration with that reason; running
+    out of iterations ends it with ``exhausted``. Returns the last iterate
+    and the SolveReport.
+    """
+    report = SolveReport(
+        converged=False, iterations=0, increment_floor=stopping.abs_increment
+    )
+    try:
+        if r is None:
+            r = residual(state)
+        report.residual_norms.append(float(np.linalg.norm(r)))
+        for it in range(1, max_iter + 1):
+            report.iterations = it
+            state, dx = step(state, r)
+            inc = _l2_norms(state.mesh, dx)
+            report.increment_norms.append(inc)
+            r = residual(state)
+            res = float(np.linalg.norm(r))
+            report.residual_norms.append(res)
+            if not np.isfinite(res):
+                raise _StepFailed("non-finite residual")
+            if stopping.satisfied(
+                res, report.residual_norms[0], inc, report.increment_norms[0]
+            ):
+                report.converged = True
+                return state, report
+        report.reason = exhausted
+    except (_StepFailed, DivergedIterateError) as exc:
+        report.reason = str(exc)
+    return state, report
+
+
+def _linear_solve(solve, *args):
+    """``solve(*args)``; a failed or non-finite solve ends the step."""
+    try:
+        dx = solve(*args)
+    except grid.SingularSystemError as exc:
+        raise _StepFailed(f"linear solve failed: {exc}") from exc
+    if not np.all(np.isfinite(dx)):
+        raise _StepFailed("linear solve failed: non-finite values")
+    return dx
+
+
+def _constrained_copy(ctx, state):
+    """Copy of ``state`` with the homogeneous Dirichlet values imposed."""
+    state = state.copy()
+    state.u[ctx.dofmap.constrained_dofs - 2 * ctx.mesh.node_count] = 0.0
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -111,56 +172,14 @@ def newton_monolithic(ctx, initial, stopping=None, max_iter=50):
     Returns the final state and a SolveReport; the state carries the last
     iterate even when the iteration did not converge.
     """
-    stopping = stopping or StoppingRule()
-    mesh = ctx.mesh
-    state = initial.copy()
-    _apply_homogeneous_bc(state, ctx)
-    report = SolveReport(converged=False, iterations=0, increment_floor=stopping.abs_increment)
+    def step(state, r):
+        dx = _linear_solve(grid.solve_linear, schemes.jacobian(state, ctx), -r)
+        return State.unpack(state.pack() + dx, ctx.mesh), dx
 
-    try:
-        r = schemes.residual(state, ctx)
-    except DivergedIterateError as exc:
-        report.reason = str(exc)
-        return state, report
-    res0 = float(np.linalg.norm(r))
-    report.residual_norms.append(res0)
-    inc_first = None
-
-    for it in range(1, max_iter + 1):
-        J = schemes.jacobian(state, ctx)
-        try:
-            dx = grid.solve_linear(J, -r)
-        except grid.SingularSystemError as exc:
-            report.reason = f"linear solve failed: {exc}"
-            report.iterations = it
-            return state, report
-        x = state.pack() + dx
-        state = State.unpack(x, mesh)
-        nn = mesh.node_count
-        inc = _l2_norms(mesh, dx[:nn], dx[nn : 2 * nn], dx[2 * nn :])
-        if inc_first is None:
-            inc_first = inc
-        report.increment_norms.append(inc)
-        try:
-            r = schemes.residual(state, ctx)
-        except DivergedIterateError as exc:
-            report.reason = str(exc)
-            report.iterations = it
-            return state, report
-        res = float(np.linalg.norm(r))
-        report.residual_norms.append(res)
-        if not np.isfinite(res):
-            report.reason = "non-finite residual"
-            report.iterations = it
-            return state, report
-        if stopping.satisfied(res, res0, inc, inc_first):
-            report.converged = True
-            report.iterations = it
-            return state, report
-
-    report.iterations = max_iter
-    report.reason = "maximum Newton iterations reached"
-    return state, report
+    return _iterate(
+        _constrained_copy(ctx, initial), lambda st: schemes.residual(st, ctx), step,
+        stopping or StoppingRule(), max_iter, "maximum Newton iterations reached",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -196,49 +215,21 @@ def newton_ch_block(ctx, state, *, r, stopping=None, max_iter=50, chord=False):
     at every iterate. Updates phi and mu of ``state`` in place and returns
     (state, report).
     """
-    stopping = stopping or StoppingRule()
-    mesh = ctx.mesh
-    nn = mesh.node_count
-    report = SolveReport(converged=False, iterations=0, increment_floor=stopping.abs_increment)
+    nn = ctx.mesh.node_count
 
-    res0 = float(np.linalg.norm(r))
-    report.residual_norms.append(res0)
-    inc_first = None
-
-    for it in range(1, max_iter + 1):
-        try:
-            if chord:
-                dx = _chord_solver(ctx).solve(-r)
-                if not np.all(np.isfinite(dx)):
-                    raise grid.SingularSystemError("chord solve non-finite")
-            else:
-                dx = grid.solve_linear(_ch_jacobian(state, ctx), -r)
-        except grid.SingularSystemError as exc:
-            report.reason = f"linear solve failed: {exc}"
-            report.iterations = it
-            return state, report
+    def step(state, r):
+        if chord:
+            dx = _linear_solve(_chord_solver(ctx).solve, -r)
+        else:
+            dx = _linear_solve(grid.solve_linear, _ch_jacobian(state, ctx), -r)
         state.phi += dx[:nn]
         state.mu += dx[nn:]
-        inc = _l2_norms(mesh, dx[:nn], dx[nn:])
-        if inc_first is None:
-            inc_first = inc
-        report.increment_norms.append(inc)
-        try:
-            r = _ch_residual(state, ctx)
-        except DivergedIterateError as exc:
-            report.reason = str(exc)
-            report.iterations = it
-            return state, report
-        res = float(np.linalg.norm(r))
-        report.residual_norms.append(res)
-        if stopping.satisfied(res, res0, inc, inc_first):
-            report.converged = True
-            report.iterations = it
-            return state, report
+        return state, dx
 
-    report.iterations = max_iter
-    report.reason = "maximum Newton iterations reached in phase-field block"
-    return state, report
+    return _iterate(
+        state, lambda st: _ch_residual(st, ctx), step, stopping or StoppingRule(),
+        max_iter, "maximum Newton iterations reached in phase-field block", r=r,
+    )
 
 
 def solve_elasticity_block(ctx, state):
@@ -306,96 +297,54 @@ def alternating_minimization(
     displacement, then the elasticity block at the new phase field. The
     concatenated iterate may then be mixed by Anderson acceleration of the
     given depth (0 = plain iteration). Termination uses the full coupled
-    residual.
+    residual. With ``track_potential`` the report's ``potential_history``
+    holds the step potential of every iterate whose residual was evaluated.
     """
-    stopping = stopping or StoppingRule()
-    inner_stopping = inner_stopping or StoppingRule()
-    mesh = ctx.mesh
-    nn = mesh.node_count
-    state = initial.copy()
-    _apply_homogeneous_bc(state, ctx)
+    nn = ctx.mesh.node_count
     window = AndersonWindow(anderson_depth)
-    report = SolveReport(converged=False, iterations=0, increment_floor=stopping.abs_increment)
+    potentials = []
 
-    def record_potential(st):
+    def residual(state):
+        r = schemes.residual(state, ctx)
         if track_potential and ctx.scheme_kind != "implicit":
             try:
-                report.potential_history.append(
-                    schemes.step_potential(st, ctx, mean_tol=_POTENTIAL_MEAN_TOL)
+                potentials.append(
+                    schemes.step_potential(state, ctx, mean_tol=_POTENTIAL_MEAN_TOL)
                 )
             except ValueError:
-                report.potential_history.append(np.nan)
+                potentials.append(np.nan)
+        return r
 
-    try:
-        r = schemes.residual(state, ctx)
-    except DivergedIterateError as exc:
-        report.reason = str(exc)
-        return state, report
-    res0 = float(np.linalg.norm(r))
-    report.residual_norms.append(res0)
-    record_potential(state)
-    inc_first = None
-
-    for it in range(1, max_outer + 1):
+    def step(state, r):
         x_old = state.pack()
         state, inner = newton_ch_block(
             ctx, state, r=r[: 2 * nn], stopping=inner_stopping,
             max_iter=inner_max_iter, chord=chord,
         )
         if not inner.converged:
-            report.reason = f"phase-field block failed: {inner.reason}"
-            report.iterations = it
-            return state, report
+            raise _StepFailed(f"phase-field block failed: {inner.reason}")
         try:
             state = solve_elasticity_block(ctx, state)
         except grid.SingularSystemError as exc:
-            report.reason = f"elasticity solve failed: {exc}"
-            report.iterations = it
-            return state, report
+            raise _StepFailed(f"elasticity solve failed: {exc}") from exc
+        x_new = window.update(x_old, state.pack())
+        return State.unpack(x_new, ctx.mesh), x_new - x_old
 
-        gx = state.pack()
-        x_new = window.update(x_old, gx)
-        state = State.unpack(x_new, mesh)
-        dx = x_new - x_old
-        inc = _l2_norms(mesh, dx[:nn], dx[nn : 2 * nn], dx[2 * nn :])
-        if inc_first is None:
-            inc_first = inc
-        report.increment_norms.append(inc)
-        record_potential(state)
-
-        try:
-            r = schemes.residual(state, ctx)
-        except DivergedIterateError as exc:
-            report.reason = str(exc)
-            report.iterations = it
-            return state, report
-        res = float(np.linalg.norm(r))
-        report.residual_norms.append(res)
-        if not np.isfinite(res):
-            report.reason = "non-finite residual"
-            report.iterations = it
-            return state, report
-        if stopping.satisfied(res, res0, inc, inc_first):
-            report.converged = True
-            report.iterations = it
-            return state, report
-
-    report.iterations = max_outer
-    report.reason = "maximum outer iterations reached"
+    state, report = _iterate(
+        _constrained_copy(ctx, initial), residual, step, stopping or StoppingRule(),
+        max_outer, "maximum outer iterations reached",
+    )
+    report.potential_history = potentials
     return state, report
 
 
 def solve_step(ctx, initial, strategy="alternating", **kwargs):
-    """Dispatch a single time-step solve by strategy name."""
+    """Solve one time step with the solver of ``strategy``.
+
+    ``kwargs`` go to ``newton_monolithic`` ("monolithic") or
+    ``alternating_minimization`` ("alternating") unchanged.
+    """
     if strategy == "monolithic":
-        kwargs.pop("anderson_depth", None)
-        kwargs.pop("track_potential", None)
-        kwargs.pop("inner_stopping", None)
-        kwargs.pop("inner_max_iter", None)
-        kwargs.pop("chord", None)
-        max_outer = kwargs.pop("max_outer", None)
-        if max_outer is not None:
-            kwargs.setdefault("max_iter", max_outer)
         return newton_monolithic(ctx, initial, **kwargs)
     if strategy == "alternating":
         return alternating_minimization(ctx, initial, **kwargs)

@@ -72,16 +72,6 @@ def test_weights_sum_to_one_effect():
     assert np.allclose(out, x_star, atol=1e-10)
 
 
-def test_restart_clears_window():
-    rng = np.random.Generator(np.random.PCG64(5))
-    g, _ = affine_map(rng)
-    w = AndersonWindow(3, restart_every=2)
-    x = rng.normal(size=8)
-    for _ in range(3):
-        x = w.update(x, g(x))
-    assert len(w._pairs) <= 1
-
-
 def test_rejects_negative_depth():
     with pytest.raises(ValueError):
         AndersonWindow(-1)

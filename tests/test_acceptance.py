@@ -231,7 +231,7 @@ def test_criterion_7_monolithic_vs_alternating():
     mesh = grid.build_mesh(16)
     cfg = harness.RunConfig(n=16, scheme="semi_implicit", gamma=5.0, xi=1.0)
     params = cfg.build_params()
-    M = schemes._mesh_mass(mesh)
+    M = mesh.mass
     state = harness.initial_state(mesh, cfg)
     worst = 0.0
     for _ in range(20):

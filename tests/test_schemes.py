@@ -85,7 +85,7 @@ def quadrature_residual(state, ctx):
     then integrated against the test functions."""
     mesh, params = ctx.mesh, ctx.params
     law, dw = params.elastic, params.double_well
-    M, K = schemes._mesh_mass(mesh), schemes._mesh_stiffness(mesh)
+    M, K = mesh.mass, mesh.stiffness
     load = lambda values: grid.assemble_scalar_load(mesh, values)
     phi_qp = grid.scalar_at_qp(mesh, state.phi)
     phi_prev_qp = grid.scalar_at_qp(mesh, ctx.prev.phi)
@@ -304,7 +304,7 @@ class TestStepPotential:
 
         state = prev.copy()
         # mean-zero perturbation of phi
-        M = schemes._mesh_mass(mesh)
+        M = mesh.mass
         d = rng.normal(size=mesh.node_count)
         ones = np.ones(mesh.node_count)
         d -= (ones @ (M @ d)) / (ones @ (M @ ones))
@@ -316,7 +316,7 @@ class TestStepPotential:
         # in direction d equals  -(r_mu - M mu) . d_hat with the multiplier
         # v/tau in place of -mu.  Build it directly:
         s = state.phi - prev.phi
-        K = schemes._mesh_stiffness(mesh)
+        K = mesh.stiffness
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 

@@ -75,6 +75,17 @@ class TestNewtonMonolithic:
         assert rep.reason
 
 
+class TestPhaseFieldBlock:
+    def test_nonconvergence_reported_not_raised(self):
+        ctx, prev = midsplit_ctx()
+        nn = ctx.mesh.node_count
+        r = schemes.residual(prev, ctx)[: 2 * nn]
+        state, rep = solvers.newton_ch_block(ctx, prev.copy(), r=r, max_iter=1)
+        assert not rep.converged
+        assert rep.iterations == 1
+        assert rep.reason
+
+
 class TestElasticityBlock:
     def test_zero_phi_zero_force(self):
         ctx, prev = midsplit_ctx()
@@ -150,7 +161,7 @@ class TestAlternatingMinimization:
         ctx, prev = midsplit_ctx()
         s_am, _ = solvers.alternating_minimization(ctx, prev)
         s_nw, _ = solvers.newton_monolithic(ctx, prev)
-        M = schemes._mesh_mass(ctx.mesh)
+        M = ctx.mesh.mass
         d = s_am.phi - s_nw.phi
         assert np.sqrt(d @ (M @ d)) <= 1e-5
 
@@ -173,10 +184,23 @@ class TestAlternatingMinimization:
         state, rep = solvers.alternating_minimization(ctx, prev)
         assert rep.converged
 
+    def test_inner_failure_reported(self):
+        ctx, prev = midsplit_ctx()
+        state, rep = solvers.alternating_minimization(ctx, prev, inner_max_iter=1)
+        assert not rep.converged
+        assert rep.reason.startswith("phase-field block failed")
+
+    def test_nonconvergence_reported_not_raised(self):
+        ctx, prev = midsplit_ctx()
+        state, rep = solvers.alternating_minimization(ctx, prev, max_outer=1)
+        assert not rep.converged
+        assert rep.iterations == 1
+        assert rep.reason
+
     def test_mass_conserved(self):
         ctx, prev = midsplit_ctx()
         state, rep = solvers.alternating_minimization(ctx, prev)
-        M = schemes._mesh_mass(ctx.mesh)
+        M = ctx.mesh.mass
         ones = np.ones(ctx.mesh.node_count)
         drift = ones @ (M @ (state.phi - prev.phi))
         assert abs(drift) <= 1e-9
