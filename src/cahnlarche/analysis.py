@@ -17,8 +17,6 @@ from scipy.linalg import eigh
 
 from .grid import I_VOIGT
 
-_DENSE_EIG_LIMIT = 1300
-
 
 # ---------------------------------------------------------------------------
 # Weighted dual norm
@@ -76,28 +74,44 @@ class NormConstants:
     mobility: float
 
 
+def _pencil_1d(mesh):
+    """Stiffness and mass (K1, M1) of the 1-D Q1 factor of the mesh.
+
+    The mesh is a uniform tensor grid and its quadrature the tensor square
+    of an ``order``-point Gauss rule, so with the 1-D matrices assembled on
+    the same 1-D rule M = M1 (x) M1 and K = K1 (x) M1 + M1 (x) K1 exactly.
+    Dense, (n+1) x (n+1).
+    """
+    n, h = mesh.n_per_side, mesh.h
+    order = int(round(np.sqrt(mesh.quadrature.weights.size)))
+    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    N = np.stack([1.0 - x, x], axis=1)
+    dN = np.array([-1.0, 1.0])
+    out = []
+    for elem in (np.outer(dN, dN) / h, h * (w * N.T) @ N):
+        diag = np.full(n + 1, elem[0, 0] + elem[1, 1])
+        diag[0], diag[-1] = elem[0, 0], elem[1, 1]
+        off = np.full(n, elem[0, 1])
+        out.append(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return tuple(out)
+
+
 def estimate_constants(mesh, mobility=1.0):
-    """Compute NormConstants by solving the generalized eigenproblems.
+    """Compute NormConstants from the eigenvalues of the (K, M) pencil.
 
     The Poincaré constant comes from the smallest nonzero eigenvalue of
     K v = lambda M v; the inverse constant from the largest eigenvalue of
     the same pencil scaled by the mobility, since the L2-to-dual-norm ratio
-    of mean-zero functions is bounded by sqrt(lambda_max(m K, M)).
+    of mean-zero functions is bounded by sqrt(lambda_max(m K, M)). Both come
+    from the 1-D pencil (K1, M1) of ``_pencil_1d``: the 2-D eigenvalues are
+    the sums lambda_i + lambda_j of 1-D ones, and lambda_0 = 0 (constants),
+    so lambda_1 is the 1-D lambda_1 and lambda_max twice the 1-D one.
     """
-    M, K = mesh.mass, mesh.stiffness
-    n = mesh.node_count
-    if n <= _DENSE_EIG_LIMIT:
-        vals = eigh(K.toarray(), M.toarray(), eigvals_only=True)
-        lam1 = vals[1]
-        lam_max = vals[-1]
-    else:
-        lam1 = spla.eigsh(
-            K.tocsc(), k=2, M=M.tocsc(), sigma=-1.0, which="LM",
-            return_eigenvectors=False,
-        ).max()
-        lam_max = spla.eigsh(
-            K.tocsc(), k=1, M=M.tocsc(), which="LM", return_eigenvectors=False
-        )[0]
+    K1, M1 = _pencil_1d(mesh)
+    vals = eigh(K1, M1, eigvals_only=True)
+    lam1 = vals[1]
+    lam_max = 2.0 * vals[-1]
     h = np.sqrt(2.0) * mesh.h  # element diameter
     poincare = 1.0 / np.sqrt(lam1)
     inverse = h * np.sqrt(mobility * lam_max)

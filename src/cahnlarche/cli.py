@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import analysis, grid, harness
 
@@ -54,11 +54,7 @@ def _load_config(args):
         "t_final": getattr(args, "t_final", None),
         "init": args.init,
     }
-    for k, v in overrides.items():
-        if v is not None:
-            setattr(cfg, k, v)
-    cfg.__post_init__()
-    return cfg
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def cmd_run(args):
@@ -134,7 +130,10 @@ def main(argv=None):
     if args.out is None:
         args.out = "out"
     handlers = {"run": cmd_run, "sweep": cmd_sweep, "constants": cmd_constants}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except harness.ConfigError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

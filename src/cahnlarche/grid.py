@@ -289,7 +289,9 @@ def assemble_vector_elasticity(mesh, voigt_field, check=True):
         elem = np.einsum("q,qca,cd,qdb->ab", w, B, C, B)
         mats = np.broadcast_to(elem, (mesh.element_count, 8, 8))
     else:
-        mats = np.einsum("q,qca,eqcd,qdb->eab", w, B, C, B)
+        # sum over (q, c) of (w_q B_q)^T (C_eq B_q), as one matmul per element
+        CB = (C @ B).reshape(C.shape[0], -1, B.shape[2])
+        mats = (w[:, None, None] * B).reshape(-1, B.shape[2]).T @ CB
     ud = mesh.u_dofs
     rows = np.repeat(ud, 8, axis=1).ravel()
     cols = np.tile(ud, (1, 8)).ravel()
@@ -313,7 +315,9 @@ def assemble_coupling(mesh, voigt_vec_qp):
         elem = np.einsum("q,qi,c,qca->ia", w, N, v, B)
         mats = np.broadcast_to(elem, (mesh.element_count, 4, 8))
     else:
-        mats = np.einsum("q,qi,eqc,qca->eia", w, N, v, B)
+        # sum over q of (w_q N_q)^T (v_eq B_q)
+        vB = (v[:, :, None, :] @ B)[:, :, 0, :]
+        mats = (w[:, None] * N).T @ vB
     rows = np.repeat(mesh.elements, 8, axis=1).ravel()
     cols = np.tile(mesh.u_dofs, (1, 4)).ravel()
     G = sp.coo_matrix(
@@ -376,24 +380,31 @@ def eliminate_dirichlet(matrix, rhs, dofs, values=None):
     return A, b
 
 
-def solve_linear(matrix, rhs, tol=1e-10):
-    """Sparse direct solve with an algebraic residual check."""
-    A = matrix.tocsc()
+def solve_linear(matrix, rhs, tol=1e-10, factor=None):
+    """Sparse direct solve with an algebraic residual check.
+
+    ``factor(matrix)`` returns the solve function of a factorization of
+    ``matrix``; without it SuperLU factors ``matrix`` in its default column
+    order. The residual is checked against ``matrix`` and ``rhs`` either way.
+    """
     b = np.asarray(rhs, dtype=float)
     try:
-        lu = spla.splu(A)
+        if factor is None:
+            matrix = matrix.tocsc()
+            solve = spla.splu(matrix).solve
+        else:
+            solve = factor(matrix)
     except RuntimeError as exc:
         raise SingularSystemError(f"factorization failed: {exc}") from exc
-    x = lu.solve(b)
+    x = solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("solve produced non-finite values")
     bnorm = np.linalg.norm(b)
     if bnorm > 0:
-        res = np.linalg.norm(A @ x - b) / bnorm
+        res = np.linalg.norm(matrix @ x - b) / bnorm
         if res > tol:
             raise SingularSystemError(
                 f"relative residual {res:.3e} exceeds {tol:.1e}",
                 achieved_residual=res,
             )
     return x
-

@@ -24,6 +24,10 @@ STRATEGIES = ("monolithic", "alternating")
 INITS = ("midsplit", "random")
 
 
+class ConfigError(ValueError):
+    """A RunConfig field holds a value no run can use."""
+
+
 @dataclass
 class RunConfig:
     """Complete description of one simulation run."""
@@ -54,11 +58,20 @@ class RunConfig:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+            raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.init not in INITS:
-            raise ValueError(f"unknown initialization {self.init!r}")
+            raise ConfigError(f"unknown initialization {self.init!r}")
+        for name, ok, need in (
+            ("n", self.n >= 2, ">= 2"),
+            ("tau", self.tau > 0, "> 0"),
+            ("tolerance", self.tolerance > 0, "> 0"),
+            ("anderson_depth", self.anderson_depth >= 0, ">= 0"),
+            ("max_iterations", self.max_iterations >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {need}, got {getattr(self, name)!r}")
         if self.scheme == "homogeneous":
             self.heterogeneous = False
 

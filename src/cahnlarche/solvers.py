@@ -13,11 +13,15 @@ loop keeps the report, measures increments in L2, and stops once at least
 one residual criterion (absolute or relative) and at least one increment
 criterion hold simultaneously. Failure to converge is a reported outcome,
 not an exception.
+
+Every Newton matrix (monolithic, phase-field block, chord) is factored in
+its symmetric saddle-point form by ``_saddle_lu``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from . import grid, schemes
 from .acceleration import AndersonWindow
@@ -144,6 +148,69 @@ def _iterate(state, residual, step, stopping, max_iter, exhausted, r=None):
     return state, report
 
 
+# Diagonal pivot threshold of the saddle-form factorization: SuperLU takes
+# the diagonal entry as pivot unless it is below this fraction of the
+# largest entry of its column.
+_SADDLE_PIVOT_THRESHOLD = 1e-3
+
+
+def _saddle_form(J, ctx):
+    """The symmetric saddle-point form of a Newton matrix.
+
+    ``J`` is the (phi, mu) block or the full (phi, mu, u) Jacobian. Each
+    step is the stationarity system of a step potential, so with its rows
+    reordered to (mu, tau * phi, -u) the matrix is symmetric. The full
+    system's constrained u dofs, whose rows are identity rows, are dropped
+    from rows and columns. Returns (S, rows, cols, scale) with
+    S = diag(scale) J[rows][:, cols] in CSC format.
+    """
+    nn = ctx.mesh.node_count
+    u = np.setdiff1d(
+        np.arange(2 * nn, J.shape[0]), ctx.dofmap.constrained_dofs,
+        assume_unique=True,
+    )
+    rows = np.concatenate([np.arange(nn, 2 * nn), np.arange(nn), u])
+    cols = np.concatenate([np.arange(2 * nn), u])
+    scale = np.concatenate(
+        [np.ones(nn), np.full(nn, ctx.params.tau), -np.ones(u.size)]
+    )
+    S = J.tocsr()[rows]  # a copy: scaling it leaves J as it is
+    S.data *= np.repeat(scale, np.diff(S.indptr))
+    return S.tocsc()[:, cols], rows, cols, scale
+
+
+def _saddle_lu(J, ctx):
+    """Factor a Newton matrix in its saddle form (``_saddle_form``).
+
+    SuperLU factors the symmetric matrix in a symmetric minimum-degree order
+    with diagonal pivots. The increment of a dropped constrained dof is
+    dx_c = b_c, which is zero because every iterate already satisfies
+    u_c = 0. Returns the solve function, which takes and returns vectors in
+    (phi, mu, u) order.
+    """
+    S, rows, cols, scale = _saddle_form(J, ctx)
+    try:
+        lu = spla.splu(
+            S, permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=_SADDLE_PIVOT_THRESHOLD,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise grid.SingularSystemError(f"factorization failed: {exc}") from exc
+
+    def solve(b):
+        x = np.array(b, dtype=float)
+        x[cols] = lu.solve(scale * x[rows])
+        return x
+
+    return solve
+
+
+def _newton_solve(J, r, ctx):
+    """Newton increment: J dx = -r solved in saddle form, residual checked on J."""
+    return grid.solve_linear(J, -r, factor=lambda A: _saddle_lu(A, ctx))
+
+
 def _linear_solve(solve, *args):
     """``solve(*args)``; a failed or non-finite solve ends the step."""
     try:
@@ -173,7 +240,7 @@ def newton_monolithic(ctx, initial, stopping=None, max_iter=50):
     iterate even when the iteration did not converge.
     """
     def step(state, r):
-        dx = _linear_solve(grid.solve_linear, schemes.jacobian(state, ctx), -r)
+        dx = _linear_solve(_newton_solve, schemes.jacobian(state, ctx), r, ctx)
         return State.unpack(state.pack() + dx, ctx.mesh), dx
 
     return _iterate(
@@ -190,20 +257,17 @@ _ch_residual = schemes.ch_residual
 _ch_jacobian = schemes.ch_jacobian
 
 
-def _chord_solver(ctx):
-    """Once-per-step factorization of the phase-field Jacobian at phi^{n-1}.
+def _chord_solve(ctx, b):
+    """Solve with the phase-field Jacobian at phi^{n-1}, factored once per step.
 
     The converged solution is unchanged (the residual test is exact); only
     the inner linearization is frozen, saving one factorization per inner
     iteration.
     """
-    import scipy.sparse.linalg as spla
-
     if "ch_chord_lu" not in ctx._cache:
-        probe = ctx.prev.copy()
-        J = _ch_jacobian(probe, ctx)
-        ctx._cache["ch_chord_lu"] = spla.splu(J.tocsc())
-    return ctx._cache["ch_chord_lu"]
+        J = _ch_jacobian(ctx.prev.copy(), ctx)
+        ctx._cache["ch_chord_lu"] = _saddle_lu(J, ctx)
+    return ctx._cache["ch_chord_lu"](b)
 
 
 def newton_ch_block(ctx, state, *, r, stopping=None, max_iter=50, chord=False):
@@ -219,9 +283,9 @@ def newton_ch_block(ctx, state, *, r, stopping=None, max_iter=50, chord=False):
 
     def step(state, r):
         if chord:
-            dx = _linear_solve(_chord_solver(ctx).solve, -r)
+            dx = _linear_solve(_chord_solve, ctx, -r)
         else:
-            dx = _linear_solve(grid.solve_linear, _ch_jacobian(state, ctx), -r)
+            dx = _linear_solve(_newton_solve, _ch_jacobian(state, ctx), r, ctx)
         state.phi += dx[:nn]
         state.mu += dx[nn:]
         return state, dx
@@ -242,8 +306,6 @@ def solve_elasticity_block(ctx, state):
     iterate, reassembled and factorized every call.
     Updates state.u in place.
     """
-    import scipy.sparse.linalg as spla
-
     mesh = ctx.mesh
     law = ctx.params.elastic
     c_local = ctx.dofmap.constrained_dofs - 2 * mesh.node_count

@@ -77,19 +77,18 @@ def test_inverse_estimate_holds_for_random_mean_zero_fields():
         assert l2 <= (c.inverse / c.h) * dn * (1 + 1e-10)
 
 
-def test_sparse_dense_eig_paths_agree():
-    # force the sparse path on a mesh the dense path can also handle
-    mesh_d = grid.build_mesh(20)
-    dense = analysis.estimate_constants(mesh_d)
-    old = analysis._DENSE_EIG_LIMIT
-    analysis._DENSE_EIG_LIMIT = 10
-    try:
-        mesh_s = grid.build_mesh(20)
-        sparse = analysis.estimate_constants(mesh_s)
-    finally:
-        analysis._DENSE_EIG_LIMIT = old
-    assert dense.poincare == pytest.approx(sparse.poincare, rel=1e-8)
-    assert dense.inverse == pytest.approx(sparse.inverse, rel=1e-8)
+def test_constants_match_dense_2d_pencil():
+    # the 1-D pencil against the dense generalized eigenproblem of the
+    # assembled 2-D (K, M)
+    from scipy.linalg import eigh
+
+    for n in (8, 20):
+        mesh = grid.build_mesh(n)
+        K, M = mesh.stiffness.toarray(), mesh.mass.toarray()
+        vals = eigh(K, M, eigvals_only=True)
+        c = analysis.estimate_constants(mesh, mobility=2.0)
+        assert c.poincare == pytest.approx(1.0 / np.sqrt(vals[1]), rel=1e-10)
+        assert c.inverse == pytest.approx(c.h * np.sqrt(2.0 * vals[-1]), rel=1e-10)
 
 
 class TestRateBound:

@@ -150,6 +150,29 @@ def test_strain_of_linear_displacement():
     assert np.allclose(eps[..., 2], b + c)
 
 
+def test_per_point_assembly_matches_quadrature_forms():
+    # bilinear forms of the per-quadrature-point branches against the same
+    # integrals summed at quadrature points from nodal fields
+    mesh = grid.build_mesh(4)
+    rng = np.random.Generator(np.random.PCG64(3))
+    L = rng.normal(size=(mesh.element_count, 4, 3, 3))
+    C = L @ np.swapaxes(L, -1, -2) + np.eye(3)
+    vec = rng.normal(size=(mesh.element_count, 4, 3))
+    u, v = rng.normal(size=(2, 2 * mesh.node_count))
+    phi = rng.normal(size=mesh.node_count)
+    w = mesh.qp_weights
+    eps_u, eps_v = grid.strain_at_qp(mesh, u), grid.strain_at_qp(mesh, v)
+
+    A = grid.assemble_vector_elasticity(mesh, C)
+    ref = np.einsum("q,eqc,eqcd,eqd->", w, eps_v, C, eps_u)
+    assert v @ (A @ u) == pytest.approx(ref, rel=1e-12)
+
+    G = grid.assemble_coupling(mesh, vec)
+    phi_qp = grid.scalar_at_qp(mesh, phi)
+    ref = np.einsum("q,eq,eqc,eqc->", w, phi_qp, vec, eps_u)
+    assert phi @ (G @ u) == pytest.approx(ref, rel=1e-12)
+
+
 def test_coupling_matrix_against_quadrature():
     mesh = grid.build_mesh(3)
     law_vec = np.array([3.0, 5.0, 0.5])

@@ -31,6 +31,15 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             harness.RunConfig(scheme="euler")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 1), ("tau", 0.0), ("tolerance", -1e-6), ("anderson_depth", -1),
+         ("max_iterations", 0)],
+    )
+    def test_rejects_invalid_field(self, field, value):
+        with pytest.raises(harness.ConfigError, match=f"^{field} must be"):
+            harness.RunConfig(**{field: value})
+
     def test_homogeneous_scheme_forces_constant_law(self):
         cfg = harness.RunConfig(scheme="homogeneous")
         assert not cfg.heterogeneous
@@ -194,6 +203,18 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "o" / "energy.csv").exists()
         assert (tmp_path / "o" / "snapshot_final.vtk").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--n", "1", "n"), ("--depth", "-2", "anderson_depth")],
+    )
+    def test_invalid_field_is_a_usage_error(self, capsys, flag, value, field):
+        from cahnlarche import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["constants", flag, value])
+        assert exc.value.code == 2
+        assert f"{field} must be" in capsys.readouterr().err
 
     def test_sweep_command(self, tmp_path):
         from cahnlarche import cli

@@ -86,6 +86,91 @@ class TestPhaseFieldBlock:
         assert rep.reason
 
 
+def random_ctx(n, kind, seed=0):
+    """Context and iterate with random fields; the iterate has u_c = 0."""
+    mesh = grid.build_mesh(n)
+    law = materials.ElasticLaw(heterogeneous=kind != "homogeneous")
+    params = materials.ModelParams(gamma=5.0, elastic=law)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    nn = mesh.node_count
+
+    def fields():
+        return schemes.State(
+            rng.uniform(-1, 1, nn), rng.normal(size=nn),
+            0.01 * rng.normal(size=2 * nn), mesh,
+        )
+
+    ctx = schemes.SchemeContext(prev=fields(), params=params, scheme_kind=kind)
+    state = fields()
+    state.u[ctx.dofmap.constrained_dofs - 2 * nn] = 0.0
+    return ctx, state
+
+
+class TestSaddleForm:
+    """The symmetric saddle-point factorization of the Newton matrices."""
+
+    cases = [
+        (n, kind, block)
+        for n in (4, 8)
+        for kind in schemes.SCHEME_KINDS
+        for block in ("full", "phase_field")
+    ]
+
+    @staticmethod
+    def matrix(ctx, state, block):
+        if block == "full":
+            return schemes.jacobian(state, ctx)
+        return schemes.ch_jacobian(state, ctx)
+
+    @pytest.mark.parametrize("n, kind, block", cases)
+    def test_reduced_matrix_symmetric(self, n, kind, block):
+        ctx, state = random_ctx(n, kind)
+        S = solvers._saddle_form(self.matrix(ctx, state, block), ctx)[0]
+        assert abs(S - S.T).max() <= 1e-12 * abs(S).max()
+
+    @pytest.mark.parametrize("n, kind, block", cases)
+    def test_solve_matches_spsolve(self, n, kind, block):
+        from scipy.sparse.linalg import spsolve
+
+        ctx, state = random_ctx(n, kind)
+        J = self.matrix(ctx, state, block)
+        b = np.random.Generator(np.random.PCG64(1)).normal(size=J.shape[0])
+        if block == "full":
+            b[ctx.dofmap.constrained_dofs] = 0.0  # the residual of u_c = 0
+        x = solvers._saddle_lu(J, ctx)(b)
+        ref = spsolve(J.tocsc(), b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @staticmethod
+    def singular(J):
+        """J with its first column zeroed."""
+        J = J.tolil()
+        J[:, 0] = 0.0
+        return J.tocsr()
+
+    @pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
+    def test_singular_jacobian_fails_step(self, kind, monkeypatch):
+        ctx, state = random_ctx(4, kind)
+        jac = schemes.jacobian
+        monkeypatch.setattr(schemes, "jacobian", lambda st, c: self.singular(jac(st, c)))
+        _, rep = solvers.newton_monolithic(ctx, state)
+        assert not rep.converged
+        assert rep.reason.startswith("linear solve failed")
+
+    @pytest.mark.parametrize("chord", [False, True])
+    @pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
+    def test_singular_phase_field_block_fails_step(self, kind, chord, monkeypatch):
+        ctx, state = random_ctx(4, kind)
+        jac = solvers._ch_jacobian
+        monkeypatch.setattr(
+            solvers, "_ch_jacobian", lambda st, c: self.singular(jac(st, c))
+        )
+        r = schemes.ch_residual(state, ctx)
+        _, rep = solvers.newton_ch_block(ctx, state, r=r, chord=chord)
+        assert not rep.converged
+        assert rep.reason.startswith("linear solve failed")
+
+
 class TestElasticityBlock:
     def test_zero_phi_zero_force(self):
         ctx, prev = midsplit_ctx()
