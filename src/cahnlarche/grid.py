@@ -1,10 +1,11 @@
 """Structured Q1 finite elements on the unit square.
 
 Provides the mesh, quadrature, assembly primitives (scalar mass/stiffness,
-vector elasticity, scalar-vector coupling, load vectors), symmetric Dirichlet
-elimination and sparse direct solves. All elements are axis-aligned squares of
-side h = 1/n, with bilinear shape functions on the reference square [0,1]^2
-and counterclockwise node ordering.
+vector elasticity, scalar-vector coupling, load vectors) on sparsity patterns
+fixed per mesh, the pattern of the saddle-form Newton matrices, symmetric
+Dirichlet elimination and sparse direct solves. All elements are
+axis-aligned squares of side h = 1/n, with bilinear shape functions on the
+reference square [0,1]^2 and counterclockwise node ordering.
 """
 
 from dataclasses import dataclass, field
@@ -70,6 +71,168 @@ def strain_displacement(grads):
     return B
 
 
+def _compressed(major, minor, shape):
+    """Compressed pattern of the index pairs (major[k], minor[k]).
+
+    Returns (indptr, indices, slots): each distinct pair is one entry, sorted
+    by major then minor index, and pair k lands in entry ``slots[k]``.
+    Index arrays are read-only, because every matrix on the pattern shares
+    them.
+    """
+    key = np.ravel(major).astype(np.int64) * shape[1]  # no int32 overflow
+    key += np.ravel(minor)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    rank = np.cumsum(first)
+    rank -= 1
+    slots = np.empty_like(rank)
+    slots[order] = rank
+    del order, rank  # freed early: they set the peak memory of the build
+    key = key[first]
+    counts = np.bincount(key // shape[1], minlength=shape[0])
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    indices = (key % shape[1]).astype(np.int32)
+    indptr.flags.writeable = indices.flags.writeable = False
+    return indptr, indices, slots
+
+
+@dataclass(frozen=True)
+class Pattern:
+    """Fixed CSR pattern of an assembled operator.
+
+    ``slots[k]`` is the entry of ``data`` that the k-th element-matrix entry
+    adds to; ``assemble`` sums with ``np.bincount`` in element order.
+    Columns are sorted within each row, and entries are kept even where
+    they sum to zero.
+    """
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+
+    @property
+    def rows(self):
+        """Row index of every entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def assemble(self, elem_mats):
+        data = np.bincount(
+            self.slots, weights=elem_mats.ravel(), minlength=self.indices.size
+        )
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+def _stencil_pattern(mesh):
+    """Scalar ``Pattern`` of the structured grid, found without a sort.
+
+    Node (i, j), numbered j (n + 1) + i, couples with the nodes of its 3x3
+    neighbourhood, which its row holds in (j, i) order. An element-matrix
+    entry's place in its row follows from the offsets of its two nodes.
+    """
+    n, e = mesh.n_per_side, mesh.elements
+    j, i = np.divmod(np.arange(mesh.node_count), n + 1)
+    width = lambda k: 3 - (k == 0) - (k == n)  # neighbours along one axis
+    indptr = np.zeros(mesh.node_count + 1, dtype=np.int32)
+    np.cumsum(width(i) * width(j), out=indptr[1:])
+    ie, je = i[e], j[e]
+    w = width(ie)
+    first = indptr[e] + (je > 0) * w + (ie > 0)
+    di, dj = ie[0] - ie[0][:, None], je[0] - je[0][:, None]  # same in every element
+    slots = (first[:, :, None] + dj * w[:, :, None] + di).ravel()
+    return _pattern(indptr, slots, np.tile(e, (1, 4)), (mesh.node_count,) * 2)
+
+
+def _dof_pattern(mesh, kind):
+    """The "coupling" (4x8) or "vector" (8x8) ``Pattern``, from the scalar
+    one: every column node becomes its two u dofs, and for "vector" every
+    row node too, so each scalar entry becomes two adjacent entries per
+    row."""
+    s, ne = mesh.pattern("scalar"), mesh.element_count
+    split = {"coupling": 1, "vector": 2}[kind]
+    indptr = np.zeros(split * mesh.node_count + 1, dtype=np.int32)
+    np.cumsum(np.repeat(2 * np.diff(s.indptr), split), out=indptr[1:])
+    shift = indptr[:-1] - 2 * np.repeat(s.indptr[:-1], split)  # per row
+    slots = 2 * s.slots.reshape(ne, 4, 1, 4, 1) + np.arange(2)
+    slots = np.broadcast_to(slots, (ne, 4, split, 4, 2)).reshape(ne, 4 * split, 8)
+    rows = mesh.u_dofs if split == 2 else mesh.elements
+    slots = (slots + shift[rows][:, :, None]).ravel()
+    cols = np.tile(mesh.u_dofs, (1, 4 * split))
+    return _pattern(indptr, slots, cols, (indptr.size - 1, 2 * mesh.node_count))
+
+
+def _pattern(indptr, slots, cols, shape):
+    """``Pattern`` with the column ``cols.ravel()[k]`` in entry ``slots[k]``."""
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[slots] = cols.ravel()
+    indptr.flags.writeable = indices.flags.writeable = False
+    return Pattern(shape, indptr, indices, slots)
+
+
+@dataclass(frozen=True)
+class SaddlePattern:
+    """CSC pattern of a Newton matrix in saddle form, fixed by the mesh.
+
+    Rows are the (mu, phi, u) equations and columns the (phi, mu, u)
+    unknowns, with u on the free (interior) dofs only; the caller scales
+    the rows (``schemes.jacobian``). The blocks are
+
+        mu_phi   mu_mu    mu_u
+        phi_phi  phi_mu   .
+        u_phi    .        u_u
+
+    ``slots[name]`` holds, for every entry of the block's source pattern
+    (``Mesh.pattern`` "scalar" for the four (phi, mu) blocks, "coupling" for
+    ``mu_u`` and ``u_phi``, "vector" for ``u_u``), its entry in ``data``;
+    entries on a constrained dof go to the spare entry ``nnz``. The (phi,
+    mu) block alone has the first four blocks.
+    """
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: dict
+
+    @classmethod
+    def of(cls, mesh, full):
+        nn = mesh.node_count
+        s = mesh.pattern("scalar")
+        i, j = s.rows, s.indices
+        blocks = {
+            "mu_phi": (i, j), "mu_mu": (i, nn + j),
+            "phi_phi": (nn + i, j), "phi_mu": (nn + i, nn + j),
+        }
+        size = 2 * nn
+        if full:
+            free = mesh.free_u_dofs
+            pos = np.full(2 * nn, -1)  # row and column of a u dof; -1 if constrained
+            pos[free] = 2 * nn + np.arange(free.size)
+            c, v = mesh.pattern("coupling"), mesh.pattern("vector")
+            blocks["mu_u"] = (c.rows, pos[c.indices])
+            blocks["u_phi"] = (pos[c.indices], c.rows)
+            blocks["u_u"] = (pos[v.rows], pos[v.indices])
+            size += free.size
+        names, sizes = list(blocks), [r.size for r, _ in blocks.values()]
+        rows = np.concatenate([r for r, _ in blocks.values()], dtype=np.int32)
+        cols = np.concatenate([c for _, c in blocks.values()], dtype=np.int32)
+        del blocks, i, j
+        # entries on a constrained dof all become one entry past the last column
+        dropped = (rows < 0) | (cols < 0)
+        cols[dropped], rows[dropped] = size, 0
+        indptr, indices, slots = _compressed(cols, rows, (size + 1, size))
+        slots = dict(zip(names, np.split(slots, np.cumsum(sizes)[:-1])))
+        return cls((size, size), indptr[:-1], indices[: indptr[size]], slots)
+
+    def matrix(self, blocks):
+        """The saddle matrix with data ``blocks[name]`` in block ``name``."""
+        data = np.empty(self.indices.size + 1)
+        for name, values in blocks.items():
+            data[self.slots[name]] = values
+        return sp.csc_matrix((data[:-1], self.indices, self.indptr), shape=self.shape)
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Structured quadrilateral mesh of the unit square."""
@@ -111,16 +274,6 @@ class Mesh:
         return self.quadrature.weights * self.h**2
 
     @property
-    def scatter_indices(self):
-        """(rows, cols) index arrays for scalar 4x4 element scatter."""
-        if "scatter" not in self._cache:
-            e = self.elements
-            rows = np.repeat(e, 4, axis=1).ravel()
-            cols = np.tile(e, (1, 4)).ravel()
-            self._cache["scatter"] = (rows, cols)
-        return self._cache["scatter"]
-
-    @property
     def u_dofs(self):
         """(n_elem, 8) interleaved displacement dofs per element."""
         if "udofs" not in self._cache:
@@ -137,6 +290,42 @@ class Mesh:
         if "B" not in self._cache:
             self._cache["B"] = strain_displacement(self.phys_grads)
         return self._cache["B"]
+
+    @property
+    def constrained_u_dofs(self):
+        """Interleaved displacement dofs of the boundary nodes, ascending;
+        u = 0 there."""
+        b = self.boundary_nodes
+        return np.stack([2 * b, 2 * b + 1], axis=1).ravel()
+
+    @property
+    def free_u_dofs(self):
+        """The other displacement dofs (interior nodes), ascending."""
+        if "free_u" not in self._cache:
+            self._cache["free_u"] = np.setdiff1d(
+                np.arange(2 * self.node_count), self.constrained_u_dofs
+            )
+        return self._cache["free_u"]
+
+    def pattern(self, kind):
+        """Fixed CSR pattern of "scalar" (4x4 element matrices), "vector"
+        (8x8, elasticity) or "coupling" (4x8, scalar rows, u columns)
+        assembly, built on first use."""
+        key = ("pattern", kind)
+        if key not in self._cache:
+            if kind == "scalar":
+                self._cache[key] = _stencil_pattern(self)
+            else:
+                self._cache[key] = _dof_pattern(self, kind)
+        return self._cache[key]
+
+    def saddle_pattern(self, full):
+        """CSC pattern of the saddle matrix of the (phi, mu) block or, with
+        ``full``, of the whole system; built on first use (``SaddlePattern``)."""
+        key = ("saddle_pattern", bool(full))
+        if key not in self._cache:
+            self._cache[key] = SaddlePattern.of(self, full)
+        return self._cache[key]
 
     @property
     def mass(self):
@@ -197,11 +386,7 @@ def build_mesh(n_per_side, quadrature_order=2):
 def build_dofmap(mesh):
     """Dof layout with homogeneous Dirichlet constraints on all u dofs."""
     nn = mesh.node_count
-    b = mesh.boundary_nodes
-    constrained = np.sort(
-        np.concatenate([2 * nn + 2 * b, 2 * nn + 2 * b + 1])
-    )
-    return DofMap(node_count=nn, constrained_dofs=constrained)
+    return DofMap(node_count=nn, constrained_dofs=2 * nn + mesh.constrained_u_dofs)
 
 
 # ---------------------------------------------------------------------------
@@ -228,23 +413,12 @@ def strain_at_qp(mesh, u):
 # Assembly
 # ---------------------------------------------------------------------------
 
-def _scatter_scalar(mesh, elem_mats):
-    rows, cols = mesh.scatter_indices
-    A = sp.coo_matrix(
-        (elem_mats.reshape(-1), (rows, cols)),
-        shape=(mesh.node_count, mesh.node_count),
-    )
-    A = A.tocsr()
-    A.eliminate_zeros()
-    return A
-
-
 def assemble_mass(mesh, coefficient=1.0):
     """Scalar mass matrix int c * p_i p_j dx. Symmetric positive definite."""
     N = mesh.shape_vals
     elem = coefficient * np.einsum("q,qi,qj->ij", mesh.qp_weights, N, N)
     mats = np.broadcast_to(elem, (mesh.element_count, 4, 4))
-    return _scatter_scalar(mesh, mats)
+    return mesh.pattern("scalar").assemble(mats)
 
 
 def assemble_weighted_mass(mesh, weight_qp):
@@ -252,7 +426,7 @@ def assemble_weighted_mass(mesh, weight_qp):
     N = mesh.shape_vals
     NN = (N[:, :, None] * N[:, None, :]).reshape(N.shape[0], -1)
     mats = (weight_qp * mesh.qp_weights) @ NN
-    return _scatter_scalar(mesh, mats)
+    return mesh.pattern("scalar").assemble(mats)
 
 
 def assemble_stiffness(mesh, coefficient=1.0):
@@ -260,7 +434,7 @@ def assemble_stiffness(mesh, coefficient=1.0):
     dN = mesh.phys_grads
     elem = coefficient * np.einsum("q,qid,qjd->ij", mesh.qp_weights, dN, dN)
     mats = np.broadcast_to(elem, (mesh.element_count, 4, 4))
-    return _scatter_scalar(mesh, mats)
+    return mesh.pattern("scalar").assemble(mats)
 
 
 def _check_voigt_field(C):
@@ -292,13 +466,7 @@ def assemble_vector_elasticity(mesh, voigt_field, check=True):
         # sum over (q, c) of (w_q B_q)^T (C_eq B_q), as one matmul per element
         CB = (C @ B).reshape(C.shape[0], -1, B.shape[2])
         mats = (w[:, None, None] * B).reshape(-1, B.shape[2]).T @ CB
-    ud = mesh.u_dofs
-    rows = np.repeat(ud, 8, axis=1).ravel()
-    cols = np.tile(ud, (1, 8)).ravel()
-    nn = 2 * mesh.node_count
-    A = sp.coo_matrix((mats.reshape(-1), (rows, cols)), shape=(nn, nn)).tocsr()
-    A.eliminate_zeros()
-    return A
+    return mesh.pattern("vector").assemble(mats)
 
 
 def assemble_coupling(mesh, voigt_vec_qp):
@@ -318,14 +486,7 @@ def assemble_coupling(mesh, voigt_vec_qp):
         # sum over q of (w_q N_q)^T (v_eq B_q)
         vB = (v[:, :, None, :] @ B)[:, :, 0, :]
         mats = (w[:, None] * N).T @ vB
-    rows = np.repeat(mesh.elements, 8, axis=1).ravel()
-    cols = np.tile(mesh.u_dofs, (1, 4)).ravel()
-    G = sp.coo_matrix(
-        (mats.reshape(-1), (rows, cols)),
-        shape=(mesh.node_count, 2 * mesh.node_count),
-    ).tocsr()
-    G.eliminate_zeros()
-    return G
+    return mesh.pattern("coupling").assemble(mats)
 
 
 def assemble_scalar_load(mesh, values_qp):
@@ -380,12 +541,14 @@ def eliminate_dirichlet(matrix, rhs, dofs, values=None):
     return A, b
 
 
-def solve_linear(matrix, rhs, tol=1e-10, factor=None):
+def solve_linear(matrix, rhs, tol=1e-10, factor=None, row_scale=None):
     """Sparse direct solve with an algebraic residual check.
 
     ``factor(matrix)`` returns the solve function of a factorization of
     ``matrix``; without it SuperLU factors ``matrix`` in its default column
     order. The residual is checked against ``matrix`` and ``rhs`` either way.
+    When ``matrix`` is D A with the row scales D given as ``row_scale``, the
+    check is made in A's rows: |D^-1 (matrix x - rhs)| <= tol |D^-1 rhs|.
     """
     b = np.asarray(rhs, dtype=float)
     try:
@@ -399,9 +562,10 @@ def solve_linear(matrix, rhs, tol=1e-10, factor=None):
     x = solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("solve produced non-finite values")
-    bnorm = np.linalg.norm(b)
+    scale = 1.0 if row_scale is None else row_scale
+    bnorm = np.linalg.norm(b / scale)
     if bnorm > 0:
-        res = np.linalg.norm(matrix @ x - b) / bnorm
+        res = np.linalg.norm((matrix @ x - b) / scale) / bnorm
         if res > tol:
             raise SingularSystemError(
                 f"relative residual {res:.3e} exceeds {tol:.1e}",

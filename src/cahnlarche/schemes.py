@@ -13,12 +13,12 @@ convex potentials for the three schemes:
 All residuals use the sign conventions of the variational statements; at a
 fixed point mu equals the variational derivative of the free energy.
 Dirichlet rows of the displacement block are replaced by value residuals.
+Jacobians come in symmetric saddle form on the free dofs (``jacobian``).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import grid
 from .grid import I_VOIGT
@@ -394,51 +394,84 @@ def residual(state, ctx):
     return out
 
 
-def jacobian(state, ctx):
-    """Exact derivative of ``residual`` at ``state`` (sparse, full system).
+def _jacobian_qp(state, ctx):
+    """Fields at quadrature points shared by the blocks of a Jacobian.
 
-    The (phi, mu) block is ``ch_jacobian``; the coupling and elasticity
-    blocks are added around it.
+    phi, and for the implicit scheme e = eps(u) - xi phi I, C(phi) and
+    C'(phi); None for the others.
     """
+    phi_qp = grid.scalar_at_qp(ctx.mesh, state.phi)
+    if ctx.scheme_kind != "implicit":
+        return phi_qp, None, None, None
+    law = ctx.params.elastic
+    e = grid.strain_at_qp(ctx.mesh, state.u) - law.xi * phi_qp[..., None] * I_VOIGT
+    return phi_qp, e, law.tensor(phi_qp), law.tensor_prime(phi_qp)
+
+
+def _phase_field_blocks(ctx, phi_qp, e, C, Cp):
+    """Data of the (mu, phi) rows of the saddle matrix, on the scalar pattern.
+
+    The mu rows are d r_mu / d(phi, mu); the phi rows are tau d r_phi /
+    d(phi, mu), which makes the block symmetric. Terms are combined after
+    assembly and in the order written, tau (M / tau) included: another order
+    changes the round-off of every Newton step.
+    """
+    params = ctx.params
+    law = params.elastic
+    M, K = ctx.M.data, ctx.K.data
+    psi_cc = grid.assemble_weighted_mass(
+        ctx.mesh, params.double_well.psi_c_second(phi_qp)
+    ).data
+    mu_phi = -params.gamma * params.ell * K - (params.gamma / params.ell) * psi_cc
+    if ctx.scheme_kind == "implicit":
+        g = (
+            0.5 * np.einsum("eqc,eqcd,eqd->eq", e, law.tensor_second(phi_qp), e)
+            - 2.0 * law.xi * np.einsum("c,eqcd,eqd->eq", I_VOIGT, Cp, e)
+            + law.xi**2 * np.einsum("c,eqcd,d->eq", I_VOIGT, C, I_VOIGT)
+        )
+        mu_phi = mu_phi - grid.assemble_weighted_mass(ctx.mesh, g).data
+    else:
+        mu_phi = mu_phi - ctx.coupled_mass_prev.data
+    return {
+        "mu_phi": mu_phi,
+        "mu_mu": M,
+        "phi_phi": params.tau * (M * (1 / params.tau)),
+        "phi_mu": params.tau * (params.m * K),
+    }
+
+
+def _jacobian_blocks(state, ctx):
+    """Data of the blocks of ``jacobian``, each on its source pattern
+    (``grid.SaddlePattern``). The coupling and u blocks span every u dof,
+    the constrained ones included."""
     mesh = ctx.mesh
     law = ctx.params.elastic
-    nn = mesh.node_count
-
-    if ctx.scheme_kind in ("homogeneous", "semi_implicit"):
-        J_mu = ctx.coupling_prev
-        J_up = -ctx.coupling_prev.T.tocsr()
-        J_uu = ctx.elastic_matrix_prev
-    else:
-        phi_qp = grid.scalar_at_qp(mesh, state.phi)
-        eps_qp = grid.strain_at_qp(mesh, state.u)
-        e = eps_qp - law.xi * phi_qp[..., None] * I_VOIGT
-        C = law.tensor(phi_qp)
-        Cp = law.tensor_prime(phi_qp)
+    phi_qp, e, C, Cp = _jacobian_qp(state, ctx)
+    if ctx.scheme_kind == "implicit":
         # d(dE/dphi)/du in direction eps(du): e:C' eps(du) - xi I:C eps(du)
         w = np.einsum("eqc,eqcd->eqd", e, Cp) - law.xi * np.einsum(
             "c,eqcd->eqd", I_VOIGT, C
         )
-        G = grid.assemble_coupling(mesh, w)
-        J_mu = -G
-        J_up = G.T.tocsr()
-        J_uu = grid.assemble_vector_elasticity(mesh, C, check=False)
+        G = -grid.assemble_coupling(mesh, w).data
+        A = grid.assemble_vector_elasticity(mesh, C, check=False).data
+    else:
+        G = ctx.coupling_prev.data
+        A = ctx.elastic_matrix_prev.data
+    blocks = _phase_field_blocks(ctx, phi_qp, e, C, Cp)
+    blocks.update(mu_u=G, u_phi=G, u_u=-A)
+    return blocks
 
-    Z = sp.csr_matrix((nn, 2 * nn))  # phi rows do not see u, u rows not mu
-    J = sp.bmat(
-        [
-            [ch_jacobian(state, ctx), sp.vstack([Z, J_mu])],
-            [sp.hstack([J_up, Z.T]), J_uu],
-        ],
-        format="csr",
-    )
 
-    # Dirichlet rows -> identity
-    c = ctx.dofmap.constrained_dofs
-    mask = np.zeros(J.shape[0], dtype=bool)
-    mask[c] = True
-    keep = sp.diags((~mask).astype(float))
-    J = keep @ J + sp.diags(mask.astype(float))
-    return J.tocsr()
+def jacobian(state, ctx):
+    """Exact derivative of ``residual`` at ``state``, in saddle form.
+
+    The rows are the (mu, tau phi, -u) rows of the derivative and the
+    columns (phi, mu, u), with u on the free dofs only (the Dirichlet rows
+    and columns are dropped). Each step is the stationarity system of a
+    step potential, so this matrix is symmetric. Its pattern is fixed by
+    the mesh (``grid.SaddlePattern``); only the data is computed here.
+    """
+    return ctx.mesh.saddle_pattern(full=True).matrix(_jacobian_blocks(state, ctx))
 
 
 def ch_residual(state, ctx):
@@ -459,33 +492,9 @@ def ch_residual(state, ctx):
 
 
 def ch_jacobian(state, ctx):
-    """(phi, mu) diagonal block of the Jacobian at frozen displacement."""
-    mesh = ctx.mesh
-    params = ctx.params
-    law = params.elastic
-    dw = params.double_well
-    M, K = ctx.M, ctx.K
-
-    phi_qp = grid.scalar_at_qp(mesh, state.phi)
-    psi_cc = grid.assemble_weighted_mass(mesh, dw.psi_c_second(phi_qp))
-    J_mp = -params.gamma * params.ell * K - (params.gamma / params.ell) * psi_cc
-    if ctx.scheme_kind == "implicit":
-        eps_qp = grid.strain_at_qp(mesh, state.u)
-        e = eps_qp - law.xi * phi_qp[..., None] * I_VOIGT
-        C = law.tensor(phi_qp)
-        Cp = law.tensor_prime(phi_qp)
-        Cpp = law.tensor_second(phi_qp)
-        g = (
-            0.5 * np.einsum("eqc,eqcd,eqd->eq", e, Cpp, e)
-            - 2.0 * law.xi * np.einsum("c,eqcd,eqd->eq", I_VOIGT, Cp, e)
-            + law.xi**2 * np.einsum("c,eqcd,d->eq", I_VOIGT, C, I_VOIGT)
-        )
-        J_mp = J_mp - grid.assemble_weighted_mass(mesh, g)
-    else:
-        J_mp = J_mp - ctx.coupled_mass_prev
-    return sp.bmat(
-        [[M / params.tau, params.m * K], [J_mp, M]], format="csr"
-    )
+    """(phi, mu) block of ``jacobian`` at frozen displacement, in saddle form."""
+    blocks = _phase_field_blocks(ctx, *_jacobian_qp(state, ctx))
+    return ctx.mesh.saddle_pattern(full=False).matrix(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ one residual criterion (absolute or relative) and at least one increment
 criterion hold simultaneously. Failure to converge is a reported outcome,
 not an exception.
 
-Every Newton matrix (monolithic, phase-field block, chord) is factored in
-its symmetric saddle-point form by ``_saddle_lu``.
+Every Newton matrix (monolithic, phase-field block, chord) arrives from
+``schemes`` in its symmetric saddle-point form on the free dofs and is
+factored as it is; ``_saddle_rows`` and ``_layout`` map vectors between the
+(phi, mu, u) layout and the saddle order.
 """
 
 from dataclasses import dataclass, field
@@ -154,41 +156,36 @@ def _iterate(state, residual, step, stopping, max_iter, exhausted, r=None):
 _SADDLE_PIVOT_THRESHOLD = 1e-3
 
 
-def _saddle_form(J, ctx):
-    """The symmetric saddle-point form of a Newton matrix.
+def _saddle_rows(mesh, tau, b):
+    """A (phi, mu[, u]) vector in the saddle matrix's row order.
 
-    ``J`` is the (phi, mu) block or the full (phi, mu, u) Jacobian. Each
-    step is the stationarity system of a step potential, so with its rows
-    reordered to (mu, tau * phi, -u) the matrix is symmetric. The full
-    system's constrained u dofs, whose rows are identity rows, are dropped
-    from rows and columns. Returns (S, rows, cols, scale) with
-    S = diag(scale) J[rows][:, cols] in CSC format.
+    The rows are (mu, tau * phi, -u) with u on the free dofs, as in
+    ``schemes.jacobian``.
     """
-    nn = ctx.mesh.node_count
-    u = np.setdiff1d(
-        np.arange(2 * nn, J.shape[0]), ctx.dofmap.constrained_dofs,
-        assume_unique=True,
-    )
-    rows = np.concatenate([np.arange(nn, 2 * nn), np.arange(nn), u])
-    cols = np.concatenate([np.arange(2 * nn), u])
-    scale = np.concatenate(
-        [np.ones(nn), np.full(nn, ctx.params.tau), -np.ones(u.size)]
-    )
-    S = J.tocsr()[rows]  # a copy: scaling it leaves J as it is
-    S.data *= np.repeat(scale, np.diff(S.indptr))
-    return S.tocsc()[:, cols], rows, cols, scale
+    nn = mesh.node_count
+    parts = [b[nn : 2 * nn], tau * b[:nn]]
+    if b.size > 2 * nn:
+        parts.append(-b[2 * nn :][mesh.free_u_dofs])
+    return np.concatenate(parts)
 
 
-def _saddle_lu(J, ctx):
-    """Factor a Newton matrix in its saddle form (``_saddle_form``).
+def _layout(mesh, x, size):
+    """A saddle-order unknown (phi, mu[, u_free]) in the (phi, mu[, u]) layout
+    of ``size`` entries, with zero increments on the constrained dofs."""
+    nn = mesh.node_count
+    out = np.zeros(size)
+    out[: 2 * nn] = x[: 2 * nn]
+    if size > 2 * nn:
+        out[2 * nn :][mesh.free_u_dofs] = x[2 * nn :]
+    return out
 
-    SuperLU factors the symmetric matrix in a symmetric minimum-degree order
-    with diagonal pivots. The increment of a dropped constrained dof is
-    dx_c = b_c, which is zero because every iterate already satisfies
-    u_c = 0. Returns the solve function, which takes and returns vectors in
-    (phi, mu, u) order.
+
+def _factor_saddle(S):
+    """SuperLU of the symmetric saddle matrix ``S``; returns its solve.
+
+    SuperLU factors it in a symmetric minimum-degree order with diagonal
+    pivots.
     """
-    S, rows, cols, scale = _saddle_form(J, ctx)
     try:
         lu = spla.splu(
             S, permc_spec="MMD_AT_PLUS_A",
@@ -197,18 +194,23 @@ def _saddle_lu(J, ctx):
         )
     except RuntimeError as exc:
         raise grid.SingularSystemError(f"factorization failed: {exc}") from exc
-
-    def solve(b):
-        x = np.array(b, dtype=float)
-        x[cols] = lu.solve(scale * x[rows])
-        return x
-
-    return solve
+    return lu.solve
 
 
-def _newton_solve(J, r, ctx):
-    """Newton increment: J dx = -r solved in saddle form, residual checked on J."""
-    return grid.solve_linear(J, -r, factor=lambda A: _saddle_lu(A, ctx))
+def _newton_solve(S, r, ctx):
+    """Newton increment dx with J dx = -r, from the saddle form S of J.
+
+    The residual check is made in J's own rows, |J dx + r| <= 1e-10 |r|:
+    S only scales and permutes J's rows, and r is zero on the constrained
+    dofs that S drops. The row scales are the saddle rows of a vector of
+    ones.
+    """
+    mesh, tau = ctx.mesh, ctx.params.tau
+    x = grid.solve_linear(
+        S, _saddle_rows(mesh, tau, -r), factor=_factor_saddle,
+        row_scale=_saddle_rows(mesh, tau, np.ones(r.size)),
+    )
+    return _layout(mesh, x, r.size)
 
 
 def _linear_solve(solve, *args):
@@ -225,7 +227,7 @@ def _linear_solve(solve, *args):
 def _constrained_copy(ctx, state):
     """Copy of ``state`` with the homogeneous Dirichlet values imposed."""
     state = state.copy()
-    state.u[ctx.dofmap.constrained_dofs - 2 * ctx.mesh.node_count] = 0.0
+    state.u[ctx.mesh.constrained_u_dofs] = 0.0
     return state
 
 
@@ -265,9 +267,9 @@ def _chord_solve(ctx, b):
     iteration.
     """
     if "ch_chord_lu" not in ctx._cache:
-        J = _ch_jacobian(ctx.prev.copy(), ctx)
-        ctx._cache["ch_chord_lu"] = _saddle_lu(J, ctx)
-    return ctx._cache["ch_chord_lu"](b)
+        ctx._cache["ch_chord_lu"] = _factor_saddle(_ch_jacobian(ctx.prev.copy(), ctx))
+    x = ctx._cache["ch_chord_lu"](_saddle_rows(ctx.mesh, ctx.params.tau, b))
+    return _layout(ctx.mesh, x, b.size)
 
 
 def newton_ch_block(ctx, state, *, r, stopping=None, max_iter=50, chord=False):
@@ -296,6 +298,17 @@ def newton_ch_block(ctx, state, *, r, stopping=None, max_iter=50, chord=False):
     )
 
 
+def _free_block(A, free):
+    """A[free][:, free] in CSC format, with its exact zeros dropped.
+
+    A constant C gives exact zeros in A; they are left out of the LU's
+    column ordering.
+    """
+    A = A[free][:, free]
+    A.eliminate_zeros()
+    return A.tocsc()
+
+
 def solve_elasticity_block(ctx, state):
     """Linear elasticity solve at the current phase field.
 
@@ -303,12 +316,14 @@ def solve_elasticity_block(ctx, state):
     schemes, factorized once through ``SchemeContext.frozen_operator``: once
     per step for a heterogeneous law, once per mesh, ``xi`` and ``c_minus``
     for a homogeneous one. The implicit scheme uses C(phi) at the current
-    iterate, reassembled and factorized every call.
+    iterate, reassembled and factorized every call. Either way the system is
+    solved on the free dofs, and u = 0 on the boundary.
     Updates state.u in place.
     """
     mesh = ctx.mesh
     law = ctx.params.elastic
-    c_local = ctx.dofmap.constrained_dofs - 2 * mesh.node_count
+    free = mesh.free_u_dofs
+    u = np.zeros(2 * mesh.node_count)
     if ctx.scheme_kind == "implicit":
         phi_qp = grid.scalar_at_qp(mesh, state.phi)
         C = law.tensor(phi_qp)
@@ -316,22 +331,17 @@ def solve_elasticity_block(ctx, state):
         vec = law.xi * np.einsum("c,eqcd->eqd", grid.I_VOIGT, C)
         G = grid.assemble_coupling(mesh, vec)
         rhs = ctx.f_load + G.T @ state.phi
-        A_bc, rhs_bc = grid.eliminate_dirichlet(A, rhs, c_local)
-        state.u = grid.solve_linear(A_bc.tocsc(), rhs_bc)
+        u[free] = grid.solve_linear(_free_block(A, free), rhs[free])
+        state.u = u
         return state
 
     # homogeneous / semi-implicit: the stiffness is fixed for the whole
     # step (for the whole run when C is constant), so cache the factorization
-    def factor():
-        A_bc, _ = grid.eliminate_dirichlet(
-            ctx.elastic_matrix_prev, np.zeros(2 * mesh.node_count), c_local
-        )
-        return spla.splu(A_bc.tocsc())
-
-    lu = ctx.frozen_operator("elast_lu", factor)
+    lu = ctx.frozen_operator(
+        "elast_lu", lambda: spla.splu(_free_block(ctx.elastic_matrix_prev, free))
+    )
     rhs = ctx.f_load + ctx.coupling_prev.T @ state.phi
-    rhs[c_local] = 0.0
-    u = lu.solve(rhs)
+    u[free] = lu.solve(rhs[free])
     if not np.all(np.isfinite(u)):
         raise grid.SingularSystemError("elasticity solve produced non-finite values")
     state.u = u

@@ -256,7 +256,7 @@ def test_criterion_7_monolithic_vs_alternating():
 
 def test_criterion_8a_jacobian_finite_differences():
     """10 random states per scheme, FD relative error <= 1e-5."""
-    from tests.test_schemes import fd_jacobian, make_ctx, random_state
+    from tests.test_schemes import expand_saddle, fd_jacobian, make_ctx, random_state
 
     mesh = grid.build_mesh(4)
     rng = np.random.Generator(np.random.PCG64(2024))
@@ -265,7 +265,7 @@ def test_criterion_8a_jacobian_finite_differences():
         for _ in range(10):
             ctx = make_ctx(mesh, kind, rng)
             st = random_state(mesh, rng)
-            J = schemes.jacobian(st, ctx).toarray()
+            J = expand_saddle(st, ctx)
             Jfd = fd_jacobian(st, ctx)
             worst = max(worst, np.abs(J - Jfd).max() / np.abs(J).max())
     ok = worst <= 1e-5

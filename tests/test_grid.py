@@ -240,3 +240,37 @@ def test_deterministic_assembly():
     A1 = grid.assemble_stiffness(mesh)
     A2 = grid.assemble_stiffness(mesh)
     assert (A1 != A2).nnz == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("kind", ["scalar", "vector", "coupling"])
+def test_pattern_matches_sorted_index_pairs(kind, n):
+    # the patterns are derived from the grid's stencil; a sort of the
+    # element index pairs is the reference
+    mesh = grid.build_mesh(n)
+    rows, cols = {
+        "scalar": (mesh.elements, mesh.elements),
+        "vector": (mesh.u_dofs, mesh.u_dofs),
+        "coupling": (mesh.elements, mesh.u_dofs),
+    }[kind]
+    shape = (rows.max() + 1, cols.max() + 1)
+    want = grid._compressed(
+        np.repeat(rows, cols.shape[1], axis=1), np.tile(cols, (1, rows.shape[1])), shape
+    )
+    got = mesh.pattern(kind)
+    assert got.shape == shape
+    for name, w in zip(("indptr", "indices", "slots"), want):
+        g = getattr(got, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+def test_compressed_pattern_int32_indices_past_2_31():
+    # major * n_minor + minor exceeds 2**31 for the last row; int32 index
+    # arrays must not wrap around in the sort key
+    size = 50_000
+    major = np.array([size - 1, 0, size - 1, 3], dtype=np.int32)
+    minor = np.array([size - 2, 1, size - 2, size - 1], dtype=np.int32)
+    indptr, indices, slots = grid._compressed(major, minor, (size, size))
+    assert indices.tolist() == [1, size - 1, size - 2]
+    assert slots.tolist() == [2, 0, 2, 1]
+    assert indptr[[0, 1, 3, 4, size - 1, size]].tolist() == [0, 1, 1, 2, 2, 3]

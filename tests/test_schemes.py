@@ -8,6 +8,7 @@ step potential restricted to mean-zero directions.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import cahnlarche as cl
 from cahnlarche import grid, materials, schemes
@@ -45,6 +46,55 @@ def fd_jacobian(state, ctx, eps=1e-6):
     return J
 
 
+def saddle_order(ctx, size):
+    """Rows, columns and row scales that take a (phi, mu[, u]) matrix of
+    ``size`` rows to the saddle form of ``schemes.jacobian``: rows
+    (mu, tau phi, -u) and columns (phi, mu, u), u on the free dofs only."""
+    nn = ctx.mesh.node_count
+    free = 2 * nn + np.setdiff1d(
+        np.arange(2 * nn), ctx.dofmap.constrained_dofs - 2 * nn
+    )
+    free = free[: size - 2 * nn]  # none for the (phi, mu) block
+    rows = np.concatenate([np.arange(nn, 2 * nn), np.arange(nn), free])
+    cols = np.concatenate([np.arange(2 * nn), free])
+    scale = np.concatenate(
+        [np.ones(nn), np.full(nn, ctx.params.tau), -np.ones(free.size)]
+    )
+    return rows, cols, scale
+
+
+def expand_saddle(state, ctx):
+    """The (phi, mu, u) Jacobian that the saddle matrix S of
+    ``schemes.jacobian`` stands for, as a dense array.
+
+    Entries in S's columns are read from S, its row order and scales
+    undone. S has no columns for the constrained u dofs, because Newton
+    increments are zero there; the derivatives by them are read from the
+    coupling and u block data that S is assembled from, which span every
+    u dof. The constrained dofs get identity rows, the derivative of their
+    value residual u_c.
+    """
+    mesh = ctx.mesh
+    nn = mesh.node_count
+    rows, cols, scale = saddle_order(ctx, 4 * nn)
+    J = np.zeros((4 * nn, 4 * nn))
+    J[np.ix_(rows, cols)] = schemes.jacobian(state, ctx).toarray() / scale[:, None]
+
+    def on_pattern(data, kind):
+        p = mesh.pattern(kind)
+        return sp.csr_matrix((data, p.indices, p.indptr), shape=p.shape).toarray()
+
+    blocks = schemes._jacobian_blocks(state, ctx)
+    c = ctx.dofmap.constrained_dofs
+    free = np.setdiff1d(np.arange(2 * nn, 4 * nn), c)
+    J[nn : 2 * nn, c] = on_pattern(blocks["mu_u"], "coupling")[:, c - 2 * nn]
+    J[np.ix_(free, c)] = -on_pattern(blocks["u_u"], "vector")[
+        np.ix_(free - 2 * nn, c - 2 * nn)
+    ]
+    J[c, c] = 1.0
+    return J
+
+
 @pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
 def test_jacobian_matches_finite_differences(kind):
     """Acceptance: 10 random states per scheme, relative error <= 1e-5."""
@@ -54,7 +104,7 @@ def test_jacobian_matches_finite_differences(kind):
     for _ in range(10):
         ctx = make_ctx(mesh, kind, rng)
         state = random_state(mesh, rng)
-        J = schemes.jacobian(state, ctx).toarray()
+        J = expand_saddle(state, ctx)
         Jfd = fd_jacobian(state, ctx)
         err = np.abs(J - Jfd).max() / np.abs(J).max()
         worst = max(worst, err)
@@ -68,7 +118,7 @@ def test_saddle_structure_semi_implicit():
     rng = np.random.Generator(np.random.PCG64(3))
     ctx = make_ctx(mesh, "semi_implicit", rng)
     state = random_state(mesh, rng)
-    J = schemes.jacobian(state, ctx).toarray()
+    J = expand_saddle(state, ctx)
     nn = mesh.node_count
     J_mu_u = J[nn : 2 * nn, 2 * nn :]
     J_u_phi = J[2 * nn :, :nn]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import cahnlarche as cl
 from cahnlarche import grid, harness, materials, schemes, solvers
@@ -86,11 +87,15 @@ class TestPhaseFieldBlock:
         assert rep.reason
 
 
-def random_ctx(n, kind, seed=0):
-    """Context and iterate with random fields; the iterate has u_c = 0."""
-    mesh = grid.build_mesh(n)
+def random_ctx(n, kind, seed=0, mesh=None, **params):
+    """Context and iterate with random fields; the iterate has u_c = 0.
+
+    ``params`` override the ModelParams defaults (gamma 5); ``mesh`` is
+    built with n elements per side unless given.
+    """
+    mesh = mesh or grid.build_mesh(n)
     law = materials.ElasticLaw(heterogeneous=kind != "homogeneous")
-    params = materials.ModelParams(gamma=5.0, elastic=law)
+    params = materials.ModelParams(**{"gamma": 5.0, "elastic": law, **params})
     rng = np.random.Generator(np.random.PCG64(seed))
     nn = mesh.node_count
 
@@ -106,8 +111,56 @@ def random_ctx(n, kind, seed=0):
     return ctx, state
 
 
+def oracle_jacobian(state, ctx, block):
+    """The Jacobian of ``schemes.residual`` (``block == "full"``, with identity
+    rows on the constrained dofs) or of ``schemes.ch_residual``, assembled
+    from grid primitives with ``sp.bmat`` in the (phi, mu, u) layout."""
+    mesh, p = ctx.mesh, ctx.params
+    law, xi = p.elastic, p.elastic.xi
+    M, K = grid.assemble_mass(mesh), grid.assemble_stiffness(mesh)
+    phi_qp = grid.scalar_at_qp(mesh, state.phi)
+    psi_cc = grid.assemble_weighted_mass(mesh, p.double_well.psi_c_second(phi_qp))
+    I = grid.I_VOIGT
+    if ctx.scheme_kind == "implicit":
+        e = grid.strain_at_qp(mesh, state.u) - xi * phi_qp[..., None] * I
+        C, Cp = law.tensor(phi_qp), law.tensor_prime(phi_qp)
+        g = (
+            0.5 * np.einsum("eqc,eqcd,eqd->eq", e, law.tensor_second(phi_qp), e)
+            - 2 * xi * np.einsum("c,eqcd,eqd->eq", I, Cp, e)
+            + xi**2 * np.einsum("c,eqcd,d->eq", I, C, I)
+        )
+        w = np.einsum("eqc,eqcd->eqd", e, Cp) - xi * np.einsum("c,eqcd->eqd", I, C)
+        G = -grid.assemble_coupling(mesh, w)
+    else:
+        C = law.tensor(grid.scalar_at_qp(mesh, ctx.prev.phi))
+        g = xi**2 * np.einsum("c,eqcd,d->eq", I, C, I)
+        G = grid.assemble_coupling(mesh, xi * np.einsum("c,eqcd->eqd", I, C))
+    J_mp = (
+        -p.gamma * p.ell * K - (p.gamma / p.ell) * psi_cc
+        - grid.assemble_weighted_mass(mesh, g)
+    )
+    if block != "full":
+        return sp.bmat([[M / p.tau, p.m * K], [J_mp, M]], format="csr")
+    A = grid.assemble_vector_elasticity(mesh, C, check=False)
+    J = sp.bmat(
+        [[M / p.tau, p.m * K, None], [J_mp, M, G], [-G.T, None, A]], format="lil"
+    )
+    c = ctx.dofmap.constrained_dofs
+    J[c, :] = 0.0
+    J[c, c] = 1.0
+    return J.tocsr()
+
+
+def saddle_of(J, ctx):
+    """The saddle form of the (phi, mu, u) matrix J, as a dense array."""
+    from tests.test_schemes import saddle_order
+
+    rows, cols, scale = saddle_order(ctx, J.shape[0])
+    return scale[:, None] * J.toarray()[np.ix_(rows, cols)]
+
+
 class TestSaddleForm:
-    """The symmetric saddle-point factorization of the Newton matrices."""
+    """The Newton matrices as assembled, in symmetric saddle-point form."""
 
     cases = [
         (n, kind, block)
@@ -125,28 +178,43 @@ class TestSaddleForm:
     @pytest.mark.parametrize("n, kind, block", cases)
     def test_reduced_matrix_symmetric(self, n, kind, block):
         ctx, state = random_ctx(n, kind)
-        S = solvers._saddle_form(self.matrix(ctx, state, block), ctx)[0]
+        S = self.matrix(ctx, state, block)
         assert abs(S - S.T).max() <= 1e-12 * abs(S).max()
+
+    @pytest.mark.parametrize("n, kind, block", cases)
+    def test_matches_oracle(self, n, kind, block):
+        ctx, state = random_ctx(n, kind)
+        S = self.matrix(ctx, state, block).toarray()
+        want = saddle_of(oracle_jacobian(state, ctx, block), ctx)
+        nn = ctx.mesh.node_count
+        # block by block, so that the small mass blocks are checked as
+        # tightly as the elasticity block
+        cuts = [0, nn, 2 * nn, S.shape[0]]
+        for r0, r1 in zip(cuts, cuts[1:]):
+            for c0, c1 in zip(cuts, cuts[1:]):
+                got, ref = S[r0:r1, c0:c1], want[r0:r1, c0:c1]
+                assert np.abs(got - ref).max(initial=0.0) <= 1e-14 * np.abs(ref).max(
+                    initial=0.0
+                ), (r0, c0)
 
     @pytest.mark.parametrize("n, kind, block", cases)
     def test_solve_matches_spsolve(self, n, kind, block):
         from scipy.sparse.linalg import spsolve
 
         ctx, state = random_ctx(n, kind)
-        J = self.matrix(ctx, state, block)
+        J = oracle_jacobian(state, ctx, block)
         b = np.random.Generator(np.random.PCG64(1)).normal(size=J.shape[0])
         if block == "full":
             b[ctx.dofmap.constrained_dofs] = 0.0  # the residual of u_c = 0
-        x = solvers._saddle_lu(J, ctx)(b)
+        x = solvers._newton_solve(self.matrix(ctx, state, block), -b, ctx)
         ref = spsolve(J.tocsc(), b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
     @staticmethod
-    def singular(J):
-        """J with its first column zeroed."""
-        J = J.tolil()
-        J[:, 0] = 0.0
-        return J.tocsr()
+    def singular(S):
+        """S with the data of its first column zeroed; the pattern is kept."""
+        S.data[S.indptr[0] : S.indptr[1]] = 0.0
+        return S
 
     @pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
     def test_singular_jacobian_fails_step(self, kind, monkeypatch):
@@ -169,6 +237,48 @@ class TestSaddleForm:
         _, rep = solvers.newton_ch_block(ctx, state, r=r, chord=chord)
         assert not rep.converged
         assert rep.reason.startswith("linear solve failed")
+
+    @pytest.mark.parametrize("block", ["full", "phase_field"])
+    @pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
+    def test_inaccurate_solve_fails_step(self, kind, block, monkeypatch):
+        # The residual check of an exact Newton solve rejects an increment
+        # that is off by one part in a million.
+        import scipy.sparse.linalg as spla
+
+        class Perturbed:
+            def __init__(self, lu):
+                self.solve = lambda b: lu.solve(b) * (1.0 + 1e-6)
+
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: Perturbed(splu(*a, **k)))
+        ctx, state = random_ctx(4, kind)
+        if block == "full":
+            _, rep = solvers.newton_monolithic(ctx, state)
+        else:
+            r = schemes.ch_residual(state, ctx)
+            _, rep = solvers.newton_ch_block(ctx, state, r=r)
+        assert not rep.converged
+        assert rep.reason.startswith("linear solve failed: relative residual")
+
+    @pytest.mark.parametrize("block", ["full", "phase_field"])
+    @pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
+    def test_parameters_sharing_a_mesh(self, kind, block):
+        # Patterns are cached on the mesh; data depending on tau or m must
+        # not be, or the second context on a shared mesh would reuse it.
+        def increment(mesh, **params):
+            ctx, state = random_ctx(6, kind, mesh=mesh, **params)
+            if block == "full":
+                r = schemes.residual(state, ctx)
+            else:
+                r = schemes.ch_residual(state, ctx)
+            return solvers._newton_solve(self.matrix(ctx, state, block), r, ctx)
+
+        shared = grid.build_mesh(6)
+        increment(shared)
+        dx_shared = increment(shared, tau=3e-4, m=2.5)
+        dx_fresh = increment(grid.build_mesh(6), tau=3e-4, m=2.5)
+        assert np.abs(dx_fresh).max() > 0
+        assert np.allclose(dx_shared, dx_fresh, rtol=1e-12, atol=0.0)
 
 
 class TestElasticityBlock:
