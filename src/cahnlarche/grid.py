@@ -2,10 +2,11 @@
 
 Provides the mesh, quadrature, assembly primitives (scalar mass/stiffness,
 vector elasticity, scalar-vector coupling, load vectors) on sparsity patterns
-fixed per mesh, the pattern of the saddle-form Newton matrices, symmetric
-Dirichlet elimination and sparse direct solves. All elements are
-axis-aligned squares of side h = 1/n, with bilinear shape functions on the
-reference square [0,1]^2 and counterclockwise node ordering.
+fixed per mesh, the pattern of the saddle-form Newton matrices in a
+nested-dissection order of the grid, symmetric Dirichlet elimination and
+sparse direct solves. All elements are axis-aligned squares of side
+h = 1/n, with bilinear shape functions on the reference square [0,1]^2 and
+counterclockwise node ordering.
 """
 
 from dataclasses import dataclass, field
@@ -171,13 +172,44 @@ def _pattern(indptr, slots, cols, shape):
     return Pattern(shape, indptr, indices, slots)
 
 
+def nested_dissection(n):
+    """Nodes of the (n + 1) x (n + 1) grid in geometric nested-dissection
+    order (George 1973, SIAM J. Numer. Anal. 10(2)).
+
+    A box of nodes is split at the middle node line of its longer side; on
+    the 3x3 stencil that line separates the two halves. The first half, the
+    second half and then the separator are ordered in turn, recursively,
+    down to boxes whose longer side has fewer than 3 nodes, which are
+    numbered naturally.
+    """
+    def box(i0, i1, j0, j1):  # nodes i0 <= i < i1, j0 <= j < j1, naturally
+        return (np.arange(j0, j1)[:, None] * (n + 1) + np.arange(i0, i1)).ravel()
+
+    def order(i0, i1, j0, j1):
+        if max(i1 - i0, j1 - j0) < 3:
+            return box(i0, i1, j0, j1)
+        if i1 - i0 >= j1 - j0:
+            m = (i0 + i1) // 2
+            parts = order(i0, m, j0, j1), order(m + 1, i1, j0, j1), box(m, m + 1, j0, j1)
+        else:
+            m = (j0 + j1) // 2
+            parts = order(i0, i1, j0, m), order(i0, i1, m + 1, j1), box(i0, i1, m, m + 1)
+        return np.concatenate(parts)
+
+    return order(0, n + 1, 0, n + 1)
+
+
 @dataclass(frozen=True)
 class SaddlePattern:
     """CSC pattern of a Newton matrix in saddle form, fixed by the mesh.
 
-    Rows are the (mu, phi, u) equations and columns the (phi, mu, u)
-    unknowns, with u on the free (interior) dofs only; the caller scales
-    the rows (``schemes.jacobian``). The blocks are
+    Column k is the unknown with index ``order[k]`` in the (phi, mu, u)
+    layout, with u on the free (interior) dofs only; row k is the equation
+    paired with it: mu's with phi, phi's with mu, u's with u. The caller
+    scales the rows (mu, tau * phi, -u) (``schemes.jacobian``). Each node's
+    unknowns (phi, mu, then its free u dofs) are adjacent, and the nodes
+    come in ``nested_dissection`` order, so SuperLU factors the matrix as it
+    is ordered. The blocks, named by equation and unknown, are
 
         mu_phi   mu_mu    mu_u
         phi_phi  phi_mu   .
@@ -194,26 +226,36 @@ class SaddlePattern:
     indptr: np.ndarray
     indices: np.ndarray
     slots: dict
+    order: np.ndarray
 
     @classmethod
     def of(cls, mesh, full):
         nn = mesh.node_count
+        rank = np.empty(nn, dtype=np.int64)
+        rank[nested_dissection(mesh.n_per_side)] = np.arange(nn)
+        order = np.arange(2 * nn)
+        if full:
+            order = np.concatenate([order, 2 * nn + mesh.free_u_dofs])
+        node = np.where(order < 2 * nn, order % nn, (order - 2 * nn) // 2)
+        order = order[np.lexsort((order, rank[node]))]
+        order.flags.writeable = False
+        size = order.size
+        pos = np.full(4 * nn if full else 2 * nn, -1)  # -1: a constrained u dof
+        pos[order] = np.arange(size)
         s = mesh.pattern("scalar")
         i, j = s.rows, s.indices
+        # (rows, columns) of each block: the equation of mu (phi) of a node
+        # takes the place of that node's phi (mu) unknown
         blocks = {
-            "mu_phi": (i, j), "mu_mu": (i, nn + j),
-            "phi_phi": (nn + i, j), "phi_mu": (nn + i, nn + j),
+            "mu_phi": (pos[i], pos[j]), "mu_mu": (pos[i], pos[nn + j]),
+            "phi_phi": (pos[nn + i], pos[j]), "phi_mu": (pos[nn + i], pos[nn + j]),
         }
-        size = 2 * nn
         if full:
-            free = mesh.free_u_dofs
-            pos = np.full(2 * nn, -1)  # row and column of a u dof; -1 if constrained
-            pos[free] = 2 * nn + np.arange(free.size)
             c, v = mesh.pattern("coupling"), mesh.pattern("vector")
-            blocks["mu_u"] = (c.rows, pos[c.indices])
-            blocks["u_phi"] = (pos[c.indices], c.rows)
-            blocks["u_u"] = (pos[v.rows], pos[v.indices])
-            size += free.size
+            u = pos[2 * nn :]
+            blocks["mu_u"] = (pos[c.rows], u[c.indices])
+            blocks["u_phi"] = (u[c.indices], pos[c.rows])
+            blocks["u_u"] = (u[v.rows], u[v.indices])
         names, sizes = list(blocks), [r.size for r, _ in blocks.values()]
         rows = np.concatenate([r for r, _ in blocks.values()], dtype=np.int32)
         cols = np.concatenate([c for _, c in blocks.values()], dtype=np.int32)
@@ -223,7 +265,7 @@ class SaddlePattern:
         cols[dropped], rows[dropped] = size, 0
         indptr, indices, slots = _compressed(cols, rows, (size + 1, size))
         slots = dict(zip(names, np.split(slots, np.cumsum(sizes)[:-1])))
-        return cls((size, size), indptr[:-1], indices[: indptr[size]], slots)
+        return cls((size, size), indptr[:-1], indices[: indptr[size]], slots, order)
 
     def matrix(self, blocks):
         """The saddle matrix with data ``blocks[name]`` in block ``name``."""

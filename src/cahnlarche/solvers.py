@@ -15,9 +15,10 @@ criterion hold simultaneously. Failure to converge is a reported outcome,
 not an exception.
 
 Every Newton matrix (monolithic, phase-field block, chord) arrives from
-``schemes`` in its symmetric saddle-point form on the free dofs and is
-factored as it is; ``_saddle_rows`` and ``_layout`` map vectors between the
-(phi, mu, u) layout and the saddle order.
+``schemes`` in its symmetric saddle-point form on the free dofs, already in
+a nested-dissection order fixed by the mesh (``grid.SaddlePattern``), and
+is factored in that order; ``_saddle_rows`` and ``_layout`` map vectors
+between the (phi, mu, u) layout and the saddle order.
 """
 
 from dataclasses import dataclass, field
@@ -159,36 +160,33 @@ _SADDLE_PIVOT_THRESHOLD = 1e-3
 def _saddle_rows(mesh, tau, b):
     """A (phi, mu[, u]) vector in the saddle matrix's row order.
 
-    The rows are (mu, tau * phi, -u) with u on the free dofs, as in
-    ``schemes.jacobian``.
+    Row k is the equation paired with the unknown ``order[k]`` of the
+    mesh's ``grid.SaddlePattern``, scaled as in ``schemes.jacobian``: mu's
+    with phi, tau * phi's with mu and -u's with u.
     """
     nn = mesh.node_count
-    parts = [b[nn : 2 * nn], tau * b[:nn]]
-    if b.size > 2 * nn:
-        parts.append(-b[2 * nn :][mesh.free_u_dofs])
-    return np.concatenate(parts)
+    paired = np.concatenate([b[nn : 2 * nn], tau * b[:nn], -b[2 * nn :]])
+    return paired[mesh.saddle_pattern(b.size > 2 * nn).order]
 
 
 def _layout(mesh, x, size):
-    """A saddle-order unknown (phi, mu[, u_free]) in the (phi, mu[, u]) layout
-    of ``size`` entries, with zero increments on the constrained dofs."""
-    nn = mesh.node_count
+    """A saddle-order unknown in the (phi, mu[, u]) layout of ``size``
+    entries, with zero increments on the constrained dofs."""
     out = np.zeros(size)
-    out[: 2 * nn] = x[: 2 * nn]
-    if size > 2 * nn:
-        out[2 * nn :][mesh.free_u_dofs] = x[2 * nn :]
+    out[mesh.saddle_pattern(size > 2 * mesh.node_count).order] = x
     return out
 
 
 def _factor_saddle(S):
     """SuperLU of the symmetric saddle matrix ``S``; returns its solve.
 
-    SuperLU factors it in a symmetric minimum-degree order with diagonal
-    pivots.
+    S arrives in the nested-dissection order of its ``grid.SaddlePattern``,
+    fixed by the mesh, so SuperLU keeps that order (it only post-orders the
+    elimination tree) and takes diagonal pivots.
     """
     try:
         lu = spla.splu(
-            S, permc_spec="MMD_AT_PLUS_A",
+            S, permc_spec="NATURAL",
             diag_pivot_thresh=_SADDLE_PIVOT_THRESHOLD,
             options={"SymmetricMode": True},
         )
@@ -201,9 +199,9 @@ def _newton_solve(S, r, ctx):
     """Newton increment dx with J dx = -r, from the saddle form S of J.
 
     The residual check is made in J's own rows, |J dx + r| <= 1e-10 |r|:
-    S only scales and permutes J's rows, and r is zero on the constrained
-    dofs that S drops. The row scales are the saddle rows of a vector of
-    ones.
+    S only scales and permutes J's rows and columns, and r is zero on the
+    constrained dofs that S drops. The row scales are the saddle rows of a
+    vector of ones.
     """
     mesh, tau = ctx.mesh, ctx.params.tau
     x = grid.solve_linear(

@@ -274,3 +274,56 @@ def test_compressed_pattern_int32_indices_past_2_31():
     assert indices.tolist() == [1, size - 1, size - 2]
     assert slots.tolist() == [2, 0, 2, 1]
     assert indptr[[0, 1, 3, 4, size - 1, size]].tolist() == [0, 1, 1, 2, 2, 3]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 32])
+def test_nested_dissection_orders_every_node_once(n):
+    order = grid.nested_dissection(n)
+    assert np.array_equal(np.sort(order), np.arange((n + 1) ** 2))
+    # the middle node line of the whole grid separates it, and comes last
+    assert np.array_equal(np.sort(order[-(n + 1) :] % (n + 1)), np.full(n + 1, (n + 1) // 2))
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("n", [4, 8])
+def test_saddle_order_is_a_permutation_of_the_unknowns(n, full):
+    mesh = grid.build_mesh(n)
+    nn = mesh.node_count
+    p = mesh.saddle_pattern(full)
+    unknowns = np.arange(2 * nn)
+    if full:
+        unknowns = np.concatenate([unknowns, 2 * nn + mesh.free_u_dofs])
+    assert np.array_equal(np.sort(p.order), unknowns)
+    assert p.shape == (unknowns.size,) * 2
+    # each node's unknowns are adjacent, its phi first, nodes in ND order
+    node = np.where(p.order < 2 * nn, p.order % nn, (p.order - 2 * nn) // 2)
+    starts = np.flatnonzero(np.diff(node, prepend=-1))
+    assert np.array_equal(node[starts], grid.nested_dissection(n))
+    assert np.array_equal(p.order[starts], node[starts])
+
+
+def test_saddle_lu_fill_below_minimum_degree():
+    # At a random implicit state, the nested-dissection order keeps the full
+    # saddle LU at most 3/4 of SuperLU's minimum-degree LU of the same
+    # matrix in the (phi, mu, u) block layout, and no larger than minimum
+    # degree on the matrix as ordered.
+    import scipy.sparse.linalg as spla
+
+    from cahnlarche import schemes, solvers
+    from tests.test_solvers import random_ctx
+
+    ctx, state = random_ctx(32, "implicit")
+    S = schemes.jacobian(state, ctx)
+    nnz = solvers._factor_saddle(S).__self__.nnz
+
+    def mmd(A):
+        return spla.splu(
+            A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
+            options={"SymmetricMode": True},
+        ).nnz
+
+    back = np.argsort(ctx.mesh.saddle_pattern(full=True).order)
+    block, ordered = nnz / mmd(S[back][:, back]), nnz / mmd(S)
+    print(f"LU nnz, ND / MMD: {block:.3f} (block layout), {ordered:.3f} (as ordered)")
+    assert block <= 0.75
+    assert ordered <= 1.0

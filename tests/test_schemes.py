@@ -49,7 +49,8 @@ def fd_jacobian(state, ctx, eps=1e-6):
 def saddle_order(ctx, size):
     """Rows, columns and row scales that take a (phi, mu[, u]) matrix of
     ``size`` rows to the saddle form of ``schemes.jacobian``: rows
-    (mu, tau phi, -u) and columns (phi, mu, u), u on the free dofs only."""
+    (mu, tau phi, -u) and columns (phi, mu, u), u on the free dofs only,
+    in the order of the mesh's saddle pattern."""
     nn = ctx.mesh.node_count
     free = 2 * nn + np.setdiff1d(
         np.arange(2 * nn), ctx.dofmap.constrained_dofs - 2 * nn
@@ -60,7 +61,11 @@ def saddle_order(ctx, size):
     scale = np.concatenate(
         [np.ones(nn), np.full(nn, ctx.params.tau), -np.ones(free.size)]
     )
-    return rows, cols, scale
+    # the pattern's order lists the same columns, grouped by node
+    order = ctx.mesh.saddle_pattern(size > 2 * nn).order
+    perm = np.searchsorted(cols, order)
+    assert np.array_equal(cols[perm], order)
+    return rows[perm], cols[perm], scale[perm]
 
 
 def expand_saddle(state, ctx):

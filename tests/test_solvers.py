@@ -188,14 +188,16 @@ class TestSaddleForm:
         want = saddle_of(oracle_jacobian(state, ctx, block), ctx)
         nn = ctx.mesh.node_count
         # block by block, so that the small mass blocks are checked as
-        # tightly as the elasticity block
-        cuts = [0, nn, 2 * nn, S.shape[0]]
-        for r0, r1 in zip(cuts, cuts[1:]):
-            for c0, c1 in zip(cuts, cuts[1:]):
-                got, ref = S[r0:r1, c0:c1], want[r0:r1, c0:c1]
+        # tightly as the elasticity block; a column's block is that of its
+        # unknown (phi, mu, u), a row's that of the unknown it is paired with
+        kind = np.minimum(ctx.mesh.saddle_pattern(block == "full").order // nn, 2)
+        for a in range(3):
+            for b in range(3):
+                cell = np.ix_(kind == a, kind == b)
+                got, ref = S[cell], want[cell]
                 assert np.abs(got - ref).max(initial=0.0) <= 1e-14 * np.abs(ref).max(
                     initial=0.0
-                ), (r0, c0)
+                ), (a, b)
 
     @pytest.mark.parametrize("n, kind, block", cases)
     def test_solve_matches_spsolve(self, n, kind, block):
