@@ -31,9 +31,6 @@ class AndersonWindow:
         self.depth = depth
         self._pairs = deque(maxlen=max(depth, 1))
 
-    def reset(self):
-        self._pairs.clear()
-
     def update(self, x, gx):
         """Record the pair (x, G(x)) and return the next iterate."""
         x = np.asarray(x, dtype=float)

@@ -608,7 +608,7 @@ def solve_linear(matrix, rhs, tol=1e-10, factor=None, row_scale=None):
     bnorm = np.linalg.norm(b / scale)
     if bnorm > 0:
         res = np.linalg.norm((matrix @ x - b) / scale) / bnorm
-        if res > tol:
+        if not res <= tol:  # a NaN residual fails too
             raise SingularSystemError(
                 f"relative residual {res:.3e} exceeds {tol:.1e}",
                 achieved_residual=res,

@@ -69,11 +69,16 @@ class RunConfig:
             ("tolerance", self.tolerance > 0, "> 0"),
             ("anderson_depth", self.anderson_depth >= 0, ">= 0"),
             ("max_iterations", self.max_iterations >= 1, ">= 1"),
+            ("snapshot_every", self.snapshot_every >= 0, ">= 0"),
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {need}, got {getattr(self, name)!r}")
         if self.scheme == "homogeneous":
             self.heterogeneous = False
+        try:  # the model parameters are checked by the model's own rules
+            self.build_params()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     _SECTIONS = {
         "model": ("m", "gamma", "ell", "xi", "theta", "heterogeneous"),

@@ -19,6 +19,13 @@ Every Newton matrix (monolithic, phase-field block, chord) arrives from
 a nested-dissection order fixed by the mesh (``grid.SaddlePattern``), and
 is factored in that order; ``_saddle_rows`` and ``_layout`` map vectors
 between the (phi, mu, u) layout and the saddle order.
+
+The exact Newton solves (monolithic, and the phase-field block without the
+chord) reuse a lagged LU (``_LaggedLU``): the latest saddle LU of one
+``newton_monolithic`` or ``alternating_minimization`` call preconditions at
+most ``_LAGGED_GMRES_STEPS`` GMRES steps on each new matrix, which is
+factored, and its LU held instead, only when the GMRES iterate fails the
+1e-10 residual check of ``grid.solve_linear``.
 """
 
 from dataclasses import dataclass, field
@@ -195,19 +202,109 @@ def _factor_saddle(S):
     return lu.solve
 
 
-def _newton_solve(S, r, ctx):
+# At most this many GMRES steps are tried with the held LU before a saddle
+# matrix is factored afresh. Chosen on am-anderson-n32 and
+# spinodal-newton-n32 (see ROADMAP, Recent).
+_LAGGED_GMRES_STEPS = 5
+
+# GMRES stops once its own residual estimate is below this fraction of the
+# right-hand side: a tenth of grid.solve_linear's 1e-10 residual check, so
+# that the iterate it returns passes that check.
+_GMRES_RTOL = 1e-11
+
+
+def _gmres(S, d, precond, b):
+    """At most ``_LAGGED_GMRES_STEPS`` GMRES steps on J x = b / d from x = 0.
+
+    J = S / d is the Newton matrix in its own rows (``d`` the row scales of
+    S). The right preconditioner v -> precond(d * v) is J'^-1 for the saddle
+    matrix S' whose LU solve is ``precond``. The preconditioned directions
+    are kept, so each step costs one LU solve and one product with S.
+    Givens rotations keep the least-squares problem triangular and give its
+    residual (Saad & Schultz 1986), with no LAPACK call. Returns the
+    iterate, which may miss the tolerance.
+    """
+    c = b / d
+    beta = np.linalg.norm(c)
+    if beta == 0:
+        return np.zeros_like(c)
+    k = _LAGGED_GMRES_STEPS
+    R = np.zeros((k, k))  # the rotated Hessenberg matrix
+    g = [beta]  # the rotated beta e1
+    V, Z, rotations = [c / beta], [], []
+    for j in range(k):
+        z = precond(d * V[j])
+        w = (S @ z) / d
+        col = []
+        for v in V:  # modified Gram-Schmidt
+            col.append(v @ w)
+            w -= col[-1] * v
+        h = np.linalg.norm(w)
+        for i, (cs, sn) in enumerate(rotations):
+            col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
+        rho = np.hypot(col[j], h)
+        if not 0 < rho < np.inf:
+            break  # breakdown or a non-finite S: the iterate so far fails the check
+        cs, sn = col[j] / rho, h / rho
+        rotations.append((cs, sn))
+        col[j] = rho
+        R[: j + 1, j] = col
+        Z.append(z)
+        g[j:] = [cs * g[j], -sn * g[j]]
+        if abs(g[j + 1]) <= _GMRES_RTOL * beta:
+            break
+        V.append(w / h)
+    y = np.zeros(len(Z))
+    for i in reversed(range(len(Z))):
+        y[i] = (g[i] - R[i, i + 1 : len(Z)] @ y[i + 1 :]) / R[i, i]
+    return sum((yi * z for yi, z in zip(y, Z)), np.zeros_like(c))
+
+
+class _LaggedLU:
+    """The latest saddle LU of one sequence of Newton solves.
+
+    A lagged preconditioner (Knoll & Keyes 2004, J. Comput. Phys. 193): a
+    new saddle matrix is first solved by ``_gmres`` with the held LU, and
+    factored, its LU then held instead, only when that iterate fails the
+    residual check. One instance lives for one solver call, never on a
+    cache, so no result depends on earlier calls.
+    """
+
+    def __init__(self):
+        self.solve = None
+
+    def factor(self, S):
+        """``_factor_saddle(S)``, held from now on."""
+        self.solve = None  # free the old LU before the new one is built
+        self.solve = _factor_saddle(S)
+        return self.solve
+
+    def krylov(self, d):
+        """A ``factor`` for ``grid.solve_linear``: GMRES with the held LU."""
+        return lambda S: lambda b: _gmres(S, d, self.solve, b)
+
+
+def _newton_solve(S, r, ctx, lagged=None):
     """Newton increment dx with J dx = -r, from the saddle form S of J.
 
     The residual check is made in J's own rows, |J dx + r| <= 1e-10 |r|:
     S only scales and permutes J's rows and columns, and r is zero on the
     constrained dofs that S drops. The row scales are the saddle rows of a
-    vector of ones.
+    vector of ones. With the ``_LaggedLU`` ``lagged`` holding an LU, GMRES
+    preconditioned by it is tried first; S is factored only if its iterate
+    fails the check.
     """
     mesh, tau = ctx.mesh, ctx.params.tau
-    x = grid.solve_linear(
-        S, _saddle_rows(mesh, tau, -r), factor=_factor_saddle,
-        row_scale=_saddle_rows(mesh, tau, np.ones(r.size)),
-    )
+    lagged = _LaggedLU() if lagged is None else lagged
+    b = _saddle_rows(mesh, tau, -r)
+    d = _saddle_rows(mesh, tau, np.ones(r.size))
+    if lagged.solve is not None:
+        try:
+            x = grid.solve_linear(S, b, factor=lagged.krylov(d), row_scale=d)
+            return _layout(mesh, x, r.size)
+        except grid.SingularSystemError:
+            pass
+    x = grid.solve_linear(S, b, factor=lagged.factor, row_scale=d)
     return _layout(mesh, x, r.size)
 
 
@@ -239,8 +336,10 @@ def newton_monolithic(ctx, initial, stopping=None, max_iter=50):
     Returns the final state and a SolveReport; the state carries the last
     iterate even when the iteration did not converge.
     """
+    lagged = _LaggedLU()
+
     def step(state, r):
-        dx = _linear_solve(_newton_solve, schemes.jacobian(state, ctx), r, ctx)
+        dx = _linear_solve(_newton_solve, schemes.jacobian(state, ctx), r, ctx, lagged)
         return State.unpack(state.pack() + dx, ctx.mesh), dx
 
     return _iterate(
@@ -270,22 +369,25 @@ def _chord_solve(ctx, b):
     return _layout(ctx.mesh, x, b.size)
 
 
-def newton_ch_block(ctx, state, *, r, stopping=None, max_iter=50, chord=False):
+def newton_ch_block(ctx, state, *, r, stopping=None, max_iter=50, chord=False,
+                    lagged=None):
     """Newton solve of the phase-field block at fixed displacement.
 
     ``r`` is the phase-field residual at ``state``, the (phi, mu) rows of
     ``schemes.residual``. With ``chord`` the Jacobian is frozen at the
     previous time level and factorized once per step; otherwise it is exact
-    at every iterate. Updates phi and mu of ``state`` in place and returns
-    (state, report).
+    at every iterate, and solved with the LU held by the ``_LaggedLU``
+    ``lagged`` (a fresh one per call if not given). Updates phi and mu of
+    ``state`` in place and returns (state, report).
     """
     nn = ctx.mesh.node_count
+    lagged = _LaggedLU() if lagged is None else lagged
 
     def step(state, r):
         if chord:
             dx = _linear_solve(_chord_solve, ctx, -r)
         else:
-            dx = _linear_solve(_newton_solve, _ch_jacobian(state, ctx), r, ctx)
+            dx = _linear_solve(_newton_solve, _ch_jacobian(state, ctx), r, ctx, lagged)
         state.phi += dx[:nn]
         state.mu += dx[nn:]
         return state, dx
@@ -372,6 +474,7 @@ def alternating_minimization(
     """
     nn = ctx.mesh.node_count
     window = AndersonWindow(anderson_depth)
+    lagged = _LaggedLU()
     potentials = []
 
     def residual(state):
@@ -389,7 +492,7 @@ def alternating_minimization(
         x_old = state.pack()
         state, inner = newton_ch_block(
             ctx, state, r=r[: 2 * nn], stopping=inner_stopping,
-            max_iter=inner_max_iter, chord=chord,
+            max_iter=inner_max_iter, chord=chord, lagged=lagged,
         )
         if not inner.converged:
             raise _StepFailed(f"phase-field block failed: {inner.reason}")

@@ -75,13 +75,3 @@ def test_weights_sum_to_one_effect():
 def test_rejects_negative_depth():
     with pytest.raises(ValueError):
         AndersonWindow(-1)
-
-
-def test_reset():
-    rng = np.random.Generator(np.random.PCG64(6))
-    g, _ = affine_map(rng)
-    w = AndersonWindow(2)
-    x = rng.normal(size=8)
-    w.update(x, g(x))
-    w.reset()
-    assert len(w._pairs) == 0

@@ -34,10 +34,18 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("n", 1), ("tau", 0.0), ("tolerance", -1e-6), ("anderson_depth", -1),
-         ("max_iterations", 0)],
+         ("max_iterations", 0), ("snapshot_every", -3)],
     )
     def test_rejects_invalid_field(self, field, value):
         with pytest.raises(harness.ConfigError, match=f"^{field} must be"):
+            harness.RunConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value", [("m", 0.0), ("gamma", -5.0), ("ell", 0.0), ("theta", 1.0)]
+    )
+    def test_rejects_invalid_model_parameter(self, field, value):
+        # checked by ModelParams' own rules, at construction of the config
+        with pytest.raises(harness.ConfigError, match=f"^{field} must"):
             harness.RunConfig(**{field: value})
 
     def test_homogeneous_scheme_forces_constant_law(self):
@@ -206,7 +214,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flag, value, field",
-        [("--n", "1", "n"), ("--depth", "-2", "anderson_depth")],
+        [("--n", "1", "n"), ("--depth", "-2", "anderson_depth"), ("--gamma", "0", "gamma")],
     )
     def test_invalid_field_is_a_usage_error(self, capsys, flag, value, field):
         from cahnlarche import cli

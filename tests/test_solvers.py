@@ -283,6 +283,117 @@ class TestSaddleForm:
         assert np.allclose(dx_shared, dx_fresh, rtol=1e-12, atol=0.0)
 
 
+class TestLaggedLU:
+    """Exact Newton solves with the latest saddle LU as GMRES preconditioner."""
+
+    cases = [
+        (kind, block) for kind in schemes.SCHEME_KINDS for block in ("full", "phase_field")
+    ]
+
+    @staticmethod
+    def system(ctx, state, block):
+        """The saddle matrix and the residual of a Newton step at ``state``."""
+        if block == "full":
+            return schemes.jacobian(state, ctx), schemes.residual(state, ctx)
+        return schemes.ch_jacobian(state, ctx), schemes.ch_residual(state, ctx)
+
+    def held(self, ctx, other, block):
+        """A _LaggedLU holding the LU at ``other``, and its count of solves."""
+        lagged = solvers._LaggedLU()
+        solve = lagged.factor(self.system(ctx, other, block)[0])
+        solves = []
+        lagged.solve = lambda b: solves.append(1) or solve(b)
+        return lagged, solves
+
+    @staticmethod
+    def count_factors(monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        calls, splu = [], spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("kind, block", cases)
+    def test_held_lu_of_a_nearby_state(self, kind, block, monkeypatch):
+        ctx, state = random_ctx(8, kind)
+        near = state.copy()
+        rng = np.random.Generator(np.random.PCG64(3))
+        near.phi += 1e-3 * rng.normal(size=near.phi.size)
+        near.mu += 1e-3 * rng.normal(size=near.mu.size)
+        lagged, solves = self.held(ctx, near, block)
+        S, r = self.system(ctx, state, block)
+        fresh = solvers._newton_solve(S, r, ctx)
+        factors = self.count_factors(monkeypatch)
+        dx = solvers._newton_solve(S, r, ctx, lagged)
+        assert factors == []
+        assert 1 <= len(solves) <= solvers._LAGGED_GMRES_STEPS
+        J = oracle_jacobian(state, ctx, block)
+        assert np.linalg.norm(J @ dx + r) <= 1e-10 * np.linalg.norm(r)
+        assert np.linalg.norm(dx - fresh) <= 1e-9 * np.linalg.norm(fresh)
+
+    @pytest.mark.parametrize("kind, block", cases)
+    def test_held_lu_of_a_distant_state_is_replaced(self, kind, block, monkeypatch):
+        ctx, state = random_ctx(8, kind)
+        far = ctx.prev.copy()
+        far.phi = -far.phi
+        lagged, solves = self.held(ctx, far, block)
+        S, r = self.system(ctx, state, block)
+        fresh = solvers._newton_solve(S, r, ctx)
+        factors = self.count_factors(monkeypatch)
+        dx = solvers._newton_solve(S, r, ctx, lagged)
+        assert len(solves) == solvers._LAGGED_GMRES_STEPS
+        assert len(factors) == 1
+        assert np.array_equal(dx, fresh)
+        # the new LU is held: the same matrix again takes no factorization
+        solvers._newton_solve(S, r, ctx, lagged)
+        assert len(factors) == 1
+        assert len(solves) == solvers._LAGGED_GMRES_STEPS
+
+    def test_non_finite_matrix_fails_the_solve(self):
+        ctx, state = random_ctx(4, "semi_implicit")
+        lagged, _ = self.held(ctx, state, "phase_field")
+        S, r = self.system(ctx, state, "phase_field")
+        S.data[:] = np.nan
+        with pytest.raises(grid.SingularSystemError):
+            solvers._newton_solve(S, r, ctx, lagged)
+
+    def test_alternating_minimization_bitwise_deterministic(self):
+        ctx, prev = midsplit_ctx()
+        s1, r1 = solvers.alternating_minimization(ctx, prev, anderson_depth=2)
+        s2, r2 = solvers.alternating_minimization(ctx, prev, anderson_depth=2)
+        assert np.array_equal(s1.pack(), s2.pack())
+        assert r1 == r2
+
+    def test_fewer_block_factorizations_than_inner_iterations(self, monkeypatch):
+        factor_saddle, newton_ch_block = solvers._factor_saddle, solvers.newton_ch_block
+
+        def step(gmres_steps):
+            monkeypatch.setattr(solvers, "_LAGGED_GMRES_STEPS", gmres_steps)
+            factors, inner = [], []
+            monkeypatch.setattr(
+                solvers, "_factor_saddle", lambda S: factors.append(1) or factor_saddle(S)
+            )
+
+            def counted_block(*args, **kwargs):
+                state, report = newton_ch_block(*args, **kwargs)
+                inner.append(report.iterations)
+                return state, report
+
+            monkeypatch.setattr(solvers, "newton_ch_block", counted_block)
+            ctx, prev = midsplit_ctx(n=16)
+            state, rep = solvers.alternating_minimization(ctx, prev, anderson_depth=2)
+            assert rep.converged
+            energy = schemes.free_energy(state, ctx.params).total
+            return len(factors), sum(inner), rep.iterations, energy
+
+        factors, inner, outer, energy = step(solvers._LAGGED_GMRES_STEPS)
+        factors0, inner0, outer0, energy0 = step(0)
+        assert factors < inner
+        assert factors0 == inner0
+        assert outer == outer0
+        assert abs(energy - energy0) <= 1e-12 * abs(energy0)
+
+
 class TestElasticityBlock:
     def test_zero_phi_zero_force(self):
         ctx, prev = midsplit_ctx()
