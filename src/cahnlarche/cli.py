@@ -83,8 +83,10 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     cfg = _load_config(args)
-    values = [float(v) for v in args.values] if args.values else None
+    values = args.values or None
     if args.preset == "anderson" and values is not None:
+        if not all(v.is_integer() for v in values):
+            raise harness.ConfigError(f"Anderson depths must be integers, got {values}")
         values = [int(v) for v in values]
     rows = harness.run_sweep(cfg, args.preset, values=values)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -120,7 +122,7 @@ def main(argv=None):
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
     p_sweep.add_argument("preset", choices=("gamma", "xi", "anderson"))
-    p_sweep.add_argument("--values", nargs="*", default=None)
+    p_sweep.add_argument("--values", nargs="*", type=float, default=None)
     _add_common(p_sweep)
 
     p_const = sub.add_parser("constants", help="print mesh constants and bounds")

@@ -97,30 +97,39 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text):
-        cp = configparser.ConfigParser()
-        cp.read_string(text)
+        """The config of an INI text; a section, key or value no run can use
+        raises ``ConfigError``."""
+        cp = configparser.ConfigParser(default_section="")
+        try:
+            cp.read_string(text)
+        except configparser.Error as exc:
+            raise ConfigError(f"unreadable configuration: {exc}") from exc
         kwargs = {}
-        for sec, keys in cls._SECTIONS.items():
-            if not cp.has_section(sec):
-                continue
-            for k in keys:
-                if not cp.has_option(sec, k):
-                    continue
-                default = getattr(cls, k, cls.__dataclass_fields__[k].default)
-                if isinstance(default, bool):
-                    kwargs[k] = cp.getboolean(sec, k)
-                elif isinstance(default, int):
-                    kwargs[k] = cp.getint(sec, k)
-                elif isinstance(default, float):
-                    kwargs[k] = cp.getfloat(sec, k)
-                else:
-                    kwargs[k] = cp.get(sec, k)
+        for sec in cp.sections():
+            keys = cls._SECTIONS.get(sec)
+            if keys is None:
+                raise ConfigError(f"unknown section [{sec}]")
+            for k in cp.options(sec):
+                if k not in keys:
+                    raise ConfigError(f"unknown key {k!r} in section [{sec}]")
+                default = cls.__dataclass_fields__[k].default
+                get = {bool: cp.getboolean, int: cp.getint, float: cp.getfloat}.get(
+                    type(default), cp.get
+                )
+                try:
+                    kwargs[k] = get(sec, k)
+                except ValueError as exc:
+                    raise ConfigError(f"[{sec}] {k}: {exc}") from exc
         return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path):
-        with open(path) as fh:
-            return cls.from_text(fh.read())
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read configuration {path}: {exc.strerror}") from exc
+        return cls.from_text(text)
 
     def build_params(self):
         law = materials.ElasticLaw(
@@ -214,7 +223,9 @@ def run_simulation(config, callback=None, estimate_bound=False):
 
     On a nonconverged step the run halts and records the step index and
     reason; all completed steps stay in the summary. ``callback`` receives
-    (step_index, state, report) after every accepted step.
+    (step_index, state, report) after every accepted step. One
+    ``solvers.LaggedLU`` serves the exact Newton solves of every step, so a
+    step starts from the previous step's last saddle LU.
     """
     mesh = grid.build_mesh(config.n)
     params = config.build_params()
@@ -232,11 +243,13 @@ def run_simulation(config, callback=None, estimate_bound=False):
 
     M = mesh.mass
     n_steps = int(round(config.t_final / config.tau))
+    lagged = solvers.LaggedLU()
     if config.strategy == "monolithic":
-        kwargs = dict(stopping=stopping, max_iter=config.max_iterations)
+        kwargs = dict(stopping=stopping, max_iter=config.max_iterations, lagged=lagged)
     else:
         # the chord's frozen Jacobian converges linearly: more inner passes
         kwargs = dict(
+            lagged=lagged,
             stopping=stopping,
             max_outer=config.max_iterations,
             anderson_depth=config.anderson_depth,

@@ -105,7 +105,8 @@ def pi_interp(phi):
     """Clamped cubic interpolation weight, 0 at phi=-1, 1 at phi=+1."""
     phi = np.asarray(phi, dtype=float)
     p = np.clip(phi, -1.0, 1.0)
-    return 0.25 * (-(p**3) + 3.0 * p + 2.0)
+    # -p^3 + 3p + 2 by products: numpy evaluates p**3 through pow
+    return 0.25 * (p * (3.0 - p * p) + 2.0)
 
 
 def pi_interp_prime(phi):

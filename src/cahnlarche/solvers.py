@@ -21,11 +21,15 @@ is factored in that order; ``_saddle_rows`` and ``_layout`` map vectors
 between the (phi, mu, u) layout and the saddle order.
 
 The exact Newton solves (monolithic, and the phase-field block without the
-chord) reuse a lagged LU (``_LaggedLU``): the latest saddle LU of one
-``newton_monolithic`` or ``alternating_minimization`` call preconditions at
-most ``_LAGGED_GMRES_STEPS`` GMRES steps on each new matrix, which is
+chord) reuse a lagged LU (``LaggedLU``): the latest saddle LU preconditions
+at most ``_LAGGED_GMRES_STEPS`` GMRES steps on each new matrix, which is
 factored, and its LU held instead, only when the GMRES iterate fails the
-1e-10 residual check of ``grid.solve_linear``.
+1e-10 residual check of ``grid.solve_linear``. GMRES gives up early once a
+step beyond the first cuts its residual estimate by less than
+``1 / _GMRES_GIVE_UP``. ``harness.run_simulation`` passes one ``LaggedLU``
+to every time step, so a step's first matrix is solved with the previous
+step's last LU; a standalone ``newton_monolithic`` or
+``alternating_minimization`` call makes its own.
 """
 
 from dataclasses import dataclass, field
@@ -207,6 +211,11 @@ def _factor_saddle(S):
 # spinodal-newton-n32 (see ROADMAP, Recent).
 _LAGGED_GMRES_STEPS = 5
 
+# GMRES gives up once a step beyond the first keeps more than this fraction
+# of its residual estimate: at that rate the remaining steps seldom reach
+# _GMRES_RTOL, so the matrix is factored without spending them.
+_GMRES_GIVE_UP = 0.05
+
 # GMRES stops once its own residual estimate is below this fraction of the
 # right-hand side: a tenth of grid.solve_linear's 1e-10 residual check, so
 # that the iterate it returns passes that check.
@@ -221,8 +230,9 @@ def _gmres(S, d, precond, b):
     matrix S' whose LU solve is ``precond``. The preconditioned directions
     are kept, so each step costs one LU solve and one product with S.
     Givens rotations keep the least-squares problem triangular and give its
-    residual (Saad & Schultz 1986), with no LAPACK call. Returns the
-    iterate, which may miss the tolerance.
+    residual (Saad & Schultz 1986), with no LAPACK call. A step beyond the
+    first that cuts that residual by less than ``1 / _GMRES_GIVE_UP`` ends
+    the attempt. Returns the iterate, which may miss the tolerance.
     """
     c = b / d
     beta = np.linalg.norm(c)
@@ -253,6 +263,8 @@ def _gmres(S, d, precond, b):
         g[j:] = [cs * g[j], -sn * g[j]]
         if abs(g[j + 1]) <= _GMRES_RTOL * beta:
             break
+        if j >= 1 and abs(g[j + 1]) > _GMRES_GIVE_UP * abs(g[j]):
+            break  # stagnating
         V.append(w / h)
     y = np.zeros(len(Z))
     for i in reversed(range(len(Z))):
@@ -260,24 +272,33 @@ def _gmres(S, d, precond, b):
     return sum((yi * z for yi, z in zip(y, Z)), np.zeros_like(c))
 
 
-class _LaggedLU:
+class LaggedLU:
     """The latest saddle LU of one sequence of Newton solves.
 
     A lagged preconditioner (Knoll & Keyes 2004, J. Comput. Phys. 193): a
     new saddle matrix is first solved by ``_gmres`` with the held LU, and
     factored, its LU then held instead, only when that iterate fails the
-    residual check. One instance lives for one solver call, never on a
-    cache, so no result depends on earlier calls.
+    residual check. One instance lives for one ``harness.run_simulation``
+    call, or for one solver call made on its own, never on a cache, so no
+    result depends on earlier runs.
     """
 
     def __init__(self):
         self.solve = None
+        self.size = 0
 
     def factor(self, S):
         """``_factor_saddle(S)``, held from now on."""
         self.solve = None  # free the old LU before the new one is built
         self.solve = _factor_saddle(S)
+        self.size = S.shape[0]
         return self.solve
+
+    def holds_for(self, S):
+        """Whether an LU of S's size is held; one of another size is dropped."""
+        if self.size != S.shape[0]:
+            self.solve = None
+        return self.solve is not None
 
     def krylov(self, d):
         """A ``factor`` for ``grid.solve_linear``: GMRES with the held LU."""
@@ -290,15 +311,15 @@ def _newton_solve(S, r, ctx, lagged=None):
     The residual check is made in J's own rows, |J dx + r| <= 1e-10 |r|:
     S only scales and permutes J's rows and columns, and r is zero on the
     constrained dofs that S drops. The row scales are the saddle rows of a
-    vector of ones. With the ``_LaggedLU`` ``lagged`` holding an LU, GMRES
-    preconditioned by it is tried first; S is factored only if its iterate
-    fails the check.
+    vector of ones. With the ``LaggedLU`` ``lagged`` holding an LU of S's
+    size, GMRES preconditioned by it is tried first; S is factored only if
+    its iterate fails the check.
     """
     mesh, tau = ctx.mesh, ctx.params.tau
-    lagged = _LaggedLU() if lagged is None else lagged
+    lagged = LaggedLU() if lagged is None else lagged
     b = _saddle_rows(mesh, tau, -r)
     d = _saddle_rows(mesh, tau, np.ones(r.size))
-    if lagged.solve is not None:
+    if lagged.holds_for(S):
         try:
             x = grid.solve_linear(S, b, factor=lagged.krylov(d), row_scale=d)
             return _layout(mesh, x, r.size)
@@ -330,13 +351,15 @@ def _constrained_copy(ctx, state):
 # Monolithic Newton
 # ---------------------------------------------------------------------------
 
-def newton_monolithic(ctx, initial, stopping=None, max_iter=50):
+def newton_monolithic(ctx, initial, stopping=None, max_iter=50, lagged=None):
     """Exact Newton iteration on the coupled residual.
 
-    Returns the final state and a SolveReport; the state carries the last
-    iterate even when the iteration did not converge.
+    The Newton matrices are solved with the LU held by the ``LaggedLU``
+    ``lagged`` (a fresh one if not given). Returns the final state and a
+    SolveReport; the state carries the last iterate even when the iteration
+    did not converge.
     """
-    lagged = _LaggedLU()
+    lagged = LaggedLU() if lagged is None else lagged
 
     def step(state, r):
         dx = _linear_solve(_newton_solve, schemes.jacobian(state, ctx), r, ctx, lagged)
@@ -376,12 +399,12 @@ def newton_ch_block(ctx, state, *, r, stopping=None, max_iter=50, chord=False,
     ``r`` is the phase-field residual at ``state``, the (phi, mu) rows of
     ``schemes.residual``. With ``chord`` the Jacobian is frozen at the
     previous time level and factorized once per step; otherwise it is exact
-    at every iterate, and solved with the LU held by the ``_LaggedLU``
+    at every iterate, and solved with the LU held by the ``LaggedLU``
     ``lagged`` (a fresh one per call if not given). Updates phi and mu of
     ``state`` in place and returns (state, report).
     """
     nn = ctx.mesh.node_count
-    lagged = _LaggedLU() if lagged is None else lagged
+    lagged = LaggedLU() if lagged is None else lagged
 
     def step(state, r):
         if chord:
@@ -462,6 +485,7 @@ def alternating_minimization(
     inner_max_iter=50,
     chord=False,
     track_potential=False,
+    lagged=None,
 ):
     """Outer alternating loop with optional Anderson mixing.
 
@@ -469,12 +493,14 @@ def alternating_minimization(
     displacement, then the elasticity block at the new phase field. The
     concatenated iterate may then be mixed by Anderson acceleration of the
     given depth (0 = plain iteration). Termination uses the full coupled
-    residual. With ``track_potential`` the report's ``potential_history``
-    holds the step potential of every iterate whose residual was evaluated.
+    residual. The exact block Newton solves share the ``LaggedLU``
+    ``lagged`` (a fresh one if not given). With ``track_potential`` the
+    report's ``potential_history`` holds the step potential of every iterate
+    whose residual was evaluated.
     """
     nn = ctx.mesh.node_count
     window = AndersonWindow(anderson_depth)
-    lagged = _LaggedLU()
+    lagged = LaggedLU() if lagged is None else lagged
     potentials = []
 
     def residual(state):

@@ -53,6 +53,26 @@ class TestRunConfig:
         assert not cfg.heterogeneous
         assert not cfg.build_params().elastic.heterogeneous
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[discretization]\nn = 1.5\n", r"^\[discretization\] n: "),
+            ("[solver]\nchord = maybe\n", r"^\[solver\] chord: "),
+            ("[model]\ngamma = abc\n", r"^\[model\] gamma: "),
+            ("[model]\ngama = 3\n", r"^unknown key 'gama' in section \[model\]"),
+            ("[modle]\ngamma = 3\n", r"^unknown section \[modle\]"),
+            ("[DEFAULT]\nn = 3\n", r"^unknown section \[DEFAULT\]"),
+            ("n = 3\n", r"^unreadable configuration"),
+        ],
+    )
+    def test_from_text_rejects(self, text, message):
+        with pytest.raises(harness.ConfigError, match=message):
+            harness.RunConfig.from_text(text)
+
+    def test_from_text_reads_a_partial_config(self):
+        cfg = harness.RunConfig.from_text("[solver]\nchord = yes\n")
+        assert cfg == harness.RunConfig(chord=True)
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text(harness.RunConfig(n=12).to_text())
@@ -123,6 +143,20 @@ class TestRunSimulation:
         b = harness.run_simulation(cfg)
         assert np.array_equal(a.final_state.phi, b.final_state.phi)
         assert [r.iterations for r in a.steps] == [r.iterations for r in b.steps]
+
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(scheme="implicit", strategy="monolithic"),
+         dict(scheme="semi_implicit", anderson_depth=2)],
+    )
+    def test_runs_bitwise_equal(self, fields):
+        # each run holds its own lagged LU, so a second run repeats the first
+        cfg = harness.RunConfig(n=8, t_final=4e-5, init="random", seed=5, **fields)
+        a = harness.run_simulation(cfg)
+        b = harness.run_simulation(cfg)
+        assert a.completed
+        assert np.array_equal(a.energies, b.energies)
+        assert a.steps == b.steps
 
     def test_estimate_bound_attaches_constants(self):
         cfg = harness.RunConfig(n=8, t_final=2e-5)
@@ -223,6 +257,44 @@ class TestCli:
             cli.main(["constants", flag, value])
         assert exc.value.code == 2
         assert f"{field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, line",
+        [("discretization", "n = 1.5"), ("solver", "chord = maybe"), ("model", "gama = 3")],
+    )
+    def test_bad_config_file_is_a_usage_error(self, tmp_path, capsys, section, line):
+        from cahnlarche import cli
+
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[{section}]\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"[{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_config_file_is_a_usage_error(self, tmp_path, capsys):
+        from cahnlarche import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", str(tmp_path / "none.ini")])
+        assert exc.value.code == 2
+        assert "cannot read configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "preset, value, message",
+        [("gamma", "abc", "invalid float value"),
+         ("anderson", "1.5", "Anderson depths must be integers")],
+    )
+    def test_bad_sweep_value_is_a_usage_error(self, tmp_path, capsys, preset, value, message):
+        from cahnlarche import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", preset, "--values", value, "--n", "8",
+                      "--out", str(tmp_path / "s")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_sweep_command(self, tmp_path):
         from cahnlarche import cli

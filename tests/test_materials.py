@@ -81,6 +81,16 @@ class TestInterpolation:
         assert materials.pi_interp_prime(np.array([-1.0]))[0] == pytest.approx(0.0)
         assert materials.pi_interp_prime(np.array([1.0]))[0] == pytest.approx(0.0)
 
+    def test_product_form_matches_the_cubic(self):
+        phi = np.linspace(-1.5, 1.5, 3001)
+        p = np.clip(phi, -1.0, 1.0)
+        cubic = 0.25 * (-(p**3) + 3.0 * p + 2.0)
+        assert np.abs(materials.pi_interp(phi) - cubic).max() <= 1e-15
+        assert materials.pi_interp(np.array([-1.0]))[0] == 0.0
+        assert materials.pi_interp(np.array([1.0]))[0] == 1.0
+        outside = np.abs(phi) > 1.0
+        assert np.all(materials.pi_interp(phi[outside]) == (phi[outside] > 0))
+
     def test_prime_fd(self):
         phi = np.linspace(-0.99, 0.99, 51)
         eps = 1e-7

@@ -298,8 +298,8 @@ class TestLaggedLU:
         return schemes.ch_jacobian(state, ctx), schemes.ch_residual(state, ctx)
 
     def held(self, ctx, other, block):
-        """A _LaggedLU holding the LU at ``other``, and its count of solves."""
-        lagged = solvers._LaggedLU()
+        """A LaggedLU holding the LU at ``other``, and its count of solves."""
+        lagged = solvers.LaggedLU()
         solve = lagged.factor(self.system(ctx, other, block)[0])
         solves = []
         lagged.solve = lambda b: solves.append(1) or solve(b)
@@ -341,13 +341,27 @@ class TestLaggedLU:
         fresh = solvers._newton_solve(S, r, ctx)
         factors = self.count_factors(monkeypatch)
         dx = solvers._newton_solve(S, r, ctx, lagged)
-        assert len(solves) == solvers._LAGGED_GMRES_STEPS
+        # GMRES gives up once it stagnates, before its step cap
+        attempted = len(solves)
+        assert 1 <= attempted < solvers._LAGGED_GMRES_STEPS
         assert len(factors) == 1
         assert np.array_equal(dx, fresh)
         # the new LU is held: the same matrix again takes no factorization
         solvers._newton_solve(S, r, ctx, lagged)
         assert len(factors) == 1
-        assert len(solves) == solvers._LAGGED_GMRES_STEPS
+        assert len(solves) == attempted
+
+    def test_held_lu_of_another_size_is_dropped(self, monkeypatch):
+        ctx, state = random_ctx(8, "semi_implicit")
+        lagged, solves = self.held(ctx, state, "phase_field")
+        S, r = self.system(ctx, state, "full")
+        fresh = solvers._newton_solve(S, r, ctx)
+        factors = self.count_factors(monkeypatch)
+        dx = solvers._newton_solve(S, r, ctx, lagged)
+        assert solves == []
+        assert len(factors) == 1
+        assert lagged.size == S.shape[0]
+        assert np.array_equal(dx, fresh)
 
     def test_non_finite_matrix_fails_the_solve(self):
         ctx, state = random_ctx(4, "semi_implicit")
@@ -392,6 +406,48 @@ class TestLaggedLU:
         assert factors0 == inner0
         assert outer == outer0
         assert abs(energy - energy0) <= 1e-12 * abs(energy0)
+
+
+class TestRunLongLaggedLU:
+    """``harness.run_simulation`` holds one LaggedLU for all its steps."""
+
+    configs = {
+        "implicit-monolithic": dict(scheme="implicit", strategy="monolithic"),
+        "semi-implicit-am": dict(
+            scheme="semi_implicit", strategy="alternating", anderson_depth=2
+        ),
+    }
+
+    @staticmethod
+    def run(monkeypatch, config, per_step):
+        """The run's summary and count of saddle factorizations; with
+        ``per_step`` every step makes its own LaggedLU."""
+        factor_saddle, solve_step = solvers._factor_saddle, solvers.solve_step
+        factors = []
+        with monkeypatch.context() as mp:
+            mp.setattr(
+                solvers, "_factor_saddle", lambda S: factors.append(1) or factor_saddle(S)
+            )
+            if per_step:
+                mp.setattr(
+                    solvers, "solve_step",
+                    lambda ctx, initial, lagged, **kwargs: solve_step(ctx, initial, **kwargs),
+                )
+            summary = harness.run_simulation(config)
+        return summary, len(factors)
+
+    @pytest.mark.parametrize("name", configs)
+    def test_fewer_factorizations_same_steps(self, name, monkeypatch):
+        config = harness.RunConfig(
+            n=8, t_final=4e-5, init="random", seed=5, **self.configs[name]
+        )
+        held, held_factors = self.run(monkeypatch, config, per_step=False)
+        fresh, fresh_factors = self.run(monkeypatch, config, per_step=True)
+        assert held.completed and fresh.completed
+        assert len(held.steps) == 5
+        assert held_factors < fresh_factors
+        assert [s.iterations for s in held.steps] == [s.iterations for s in fresh.steps]
+        assert np.allclose(held.energies, fresh.energies, rtol=1e-12, atol=0.0)
 
 
 class TestElasticityBlock:
