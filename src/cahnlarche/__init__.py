@@ -13,7 +13,7 @@ harness      : configuration, time loop, CSV/VTK/JSON outputs, sweeps
 cli          : command-line entry point
 """
 
-from .grid import Mesh, build_mesh, build_dofmap, SingularSystemError
+from .grid import Mesh, build_mesh, SingularSystemError
 from .materials import DoubleWell, ElasticLaw, ModelParams
 from .schemes import State, SchemeContext, free_energy, step_potential
 from .solvers import (

@@ -141,24 +141,21 @@ class RateBound:
         return asdict(self)
 
 
-def rate_bound(params, constants, lipschitz_psi=None, i_dot_i=2.0):
+def rate_bound(params, constants):
     """Evaluate the contraction bound of the alternating scheme.
 
     For a heterogeneous law the coupling strength is measured by the
-    spectral bounds of the interpolated tensor times ``i_dot_i`` (the trace
-    of the identity in Voigt form, 2 in two dimensions); a homogeneous law
-    uses the exact scalar I : C I instead.
-
-    ``lipschitz_psi`` defaults to the measured Lipschitz constant of the
-    derivative of the convex double-well part.
+    spectral bounds of the interpolated tensor times I . I = 2 (the trace
+    of the identity in Voigt form in two dimensions); a homogeneous law
+    uses the exact scalar I : C I instead. The Lipschitz constant of the
+    derivative of the convex double-well part is the measured one.
     """
     law = params.elastic
-    if lipschitz_psi is None:
-        lipschitz_psi = params.double_well.measured_lipschitz()
+    lipschitz_psi = params.double_well.measured_lipschitz()
     if law.heterogeneous:
         c_lo, c_hi = law.eigenvalue_bounds()
-        couple_lo = law.xi**2 * i_dot_i * c_lo
-        couple_hi = law.xi**2 * i_dot_i * c_hi
+        couple_lo = law.xi**2 * 2.0 * c_lo
+        couple_hi = law.xi**2 * 2.0 * c_hi
     else:
         ici = float(I_VOIGT @ law.c_minus @ I_VOIGT)
         couple_lo = couple_hi = law.xi**2 * ici

@@ -59,9 +59,7 @@ def _load_config(args):
 
 def cmd_run(args):
     cfg = _load_config(args)
-    mesh = grid.build_mesh(cfg.n)
     snapshots = []
-
     every = cfg.snapshot_every
 
     def callback(step, state, report):
@@ -69,9 +67,9 @@ def cmd_run(args):
             snapshots.append((f"{step:06d}", state.copy()))
 
     summary = harness.run_simulation(cfg, callback=callback, estimate_bound=True)
+    mesh = summary.final_state.mesh
     snapshots.insert(0, ("initial", harness.initial_state(mesh, cfg)))
-    if summary.final_state is not None:
-        snapshots.append(("final", summary.final_state))
+    snapshots.append(("final", summary.final_state))
     harness.write_outputs(summary, cfg.out_dir, mesh=mesh, snapshots=snapshots)
     status = "completed" if summary.completed else (
         f"failed at step {summary.failed_at_step}: {summary.failure_reason}"

@@ -20,12 +20,12 @@ import scipy.sparse.linalg as spla
 I_VOIGT = np.array([1.0, 1.0, 0.0])
 
 
-class SingularSystemError(Exception):
-    """Linear solve failed or did not reach the requested residual."""
+# Relative residual every solve_linear result must reach.
+RESIDUAL_TOL = 1e-10
 
-    def __init__(self, message, achieved_residual=None):
-        super().__init__(message)
-        self.achieved_residual = achieved_residual
+
+class SingularSystemError(Exception):
+    """Linear solve failed or did not reach ``RESIDUAL_TOL``."""
 
 
 @dataclass(frozen=True)
@@ -384,15 +384,7 @@ class Mesh:
         return self._cache["stiffness"]
 
 
-@dataclass(frozen=True)
-class DofMap:
-    """Block layout (phi, mu, u) of the coupled system."""
-
-    node_count: int
-    constrained_dofs: np.ndarray  # global indices within the full system
-
-
-def build_mesh(n_per_side, quadrature_order=2):
+def build_mesh(n_per_side):
     """Build a structured n x n quadrilateral mesh of the unit square."""
     if n_per_side < 2:
         raise ValueError(f"n_per_side must be >= 2, got {n_per_side}")
@@ -421,14 +413,8 @@ def build_mesh(n_per_side, quadrature_order=2):
         nodes=nodes,
         elements=elements,
         boundary_nodes=boundary,
-        quadrature=gauss_rule(quadrature_order),
+        quadrature=gauss_rule(2),
     )
-
-
-def build_dofmap(mesh):
-    """Dof layout with homogeneous Dirichlet constraints on all u dofs."""
-    nn = mesh.node_count
-    return DofMap(node_count=nn, constrained_dofs=2 * nn + mesh.constrained_u_dofs)
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +441,10 @@ def strain_at_qp(mesh, u):
 # Assembly
 # ---------------------------------------------------------------------------
 
-def assemble_mass(mesh, coefficient=1.0):
-    """Scalar mass matrix int c * p_i p_j dx. Symmetric positive definite."""
+def assemble_mass(mesh):
+    """Scalar mass matrix int p_i p_j dx. Symmetric positive definite."""
     N = mesh.shape_vals
-    elem = coefficient * np.einsum("q,qi,qj->ij", mesh.qp_weights, N, N)
+    elem = np.einsum("q,qi,qj->ij", mesh.qp_weights, N, N)
     mats = np.broadcast_to(elem, (mesh.element_count, 4, 4))
     return mesh.pattern("scalar").assemble(mats)
 
@@ -471,34 +457,22 @@ def assemble_weighted_mass(mesh, weight_qp):
     return mesh.pattern("scalar").assemble(mats)
 
 
-def assemble_stiffness(mesh, coefficient=1.0):
-    """Scalar stiffness int c * grad p_i . grad p_j dx. SPSD, kernel=constants."""
+def assemble_stiffness(mesh):
+    """Scalar stiffness int grad p_i . grad p_j dx. SPSD, kernel=constants."""
     dN = mesh.phys_grads
-    elem = coefficient * np.einsum("q,qid,qjd->ij", mesh.qp_weights, dN, dN)
+    elem = np.einsum("q,qid,qjd->ij", mesh.qp_weights, dN, dN)
     mats = np.broadcast_to(elem, (mesh.element_count, 4, 4))
     return mesh.pattern("scalar").assemble(mats)
 
 
-def _check_voigt_field(C):
-    if not np.allclose(C, np.swapaxes(C, -1, -2), atol=1e-12):
-        raise ValueError("Voigt stiffness field is not symmetric")
-    # Sylvester criterion on the 3x3 blocks (cheap, vectorized).
-    d1 = C[..., 0, 0]
-    d2 = C[..., 0, 0] * C[..., 1, 1] - C[..., 0, 1] * C[..., 1, 0]
-    d3 = np.linalg.det(C)
-    if np.any(d1 <= 0) or np.any(d2 <= 0) or np.any(d3 <= 0):
-        raise ValueError("Voigt stiffness field is not positive definite")
-
-
-def assemble_vector_elasticity(mesh, voigt_field, check=True):
+def assemble_vector_elasticity(mesh, voigt_field):
     """Elasticity stiffness int (C eps(u)) : eps(v) dx on interleaved u dofs.
 
     voigt_field is a (3,3) constant or a per-quadrature (n_elem, nq, 3, 3)
-    array of Voigt stiffness tensors.
+    array of Voigt stiffness tensors, symmetric positive definite: C(phi) of
+    an ``ElasticLaw``, a convex combination of its two checked tensors.
     """
     C = np.asarray(voigt_field, dtype=float)
-    if check:
-        _check_voigt_field(C)
     B = mesh.b_matrices
     w = mesh.qp_weights
     if C.ndim == 2:
@@ -583,14 +557,15 @@ def eliminate_dirichlet(matrix, rhs, dofs, values=None):
     return A, b
 
 
-def solve_linear(matrix, rhs, tol=1e-10, factor=None, row_scale=None):
+def solve_linear(matrix, rhs, factor=None, row_scale=None):
     """Sparse direct solve with an algebraic residual check.
 
     ``factor(matrix)`` returns the solve function of a factorization of
     ``matrix``; without it SuperLU factors ``matrix`` in its default column
     order. The residual is checked against ``matrix`` and ``rhs`` either way.
     When ``matrix`` is D A with the row scales D given as ``row_scale``, the
-    check is made in A's rows: |D^-1 (matrix x - rhs)| <= tol |D^-1 rhs|.
+    check is made in A's rows: |D^-1 (matrix x - rhs)| <= RESIDUAL_TOL
+    |D^-1 rhs|.
     """
     b = np.asarray(rhs, dtype=float)
     try:
@@ -608,9 +583,8 @@ def solve_linear(matrix, rhs, tol=1e-10, factor=None, row_scale=None):
     bnorm = np.linalg.norm(b / scale)
     if bnorm > 0:
         res = np.linalg.norm((matrix @ x - b) / scale) / bnorm
-        if not res <= tol:  # a NaN residual fails too
+        if not res <= RESIDUAL_TOL:  # a NaN residual fails too
             raise SingularSystemError(
-                f"relative residual {res:.3e} exceeds {tol:.1e}",
-                achieved_residual=res,
+                f"relative residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}"
             )
     return x

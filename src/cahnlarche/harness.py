@@ -11,8 +11,9 @@ import configparser
 import csv
 import io
 import json
+import numbers
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -63,12 +64,18 @@ class RunConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.init not in INITS:
             raise ConfigError(f"unknown initialization {self.init!r}")
+        for name in (f.name for f in fields(self) if f.type is int):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))  # a numpy integer becomes an int
         for name, ok, need in (
             ("n", self.n >= 2, ">= 2"),
             ("tau", self.tau > 0, "> 0"),
             ("tolerance", self.tolerance > 0, "> 0"),
             ("anderson_depth", self.anderson_depth >= 0, ">= 0"),
             ("max_iterations", self.max_iterations >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
             ("snapshot_every", self.snapshot_every >= 0, ">= 0"),
         ):
             if not ok:
@@ -150,20 +157,16 @@ class RunConfig:
 # Initial data
 # ---------------------------------------------------------------------------
 
-def init_midsplit(mesh, ell, sharp=False):
-    """Horizontal-interface profile phi0 = tanh((0.5 - y)/(sqrt(2) ell)).
-
-    With ``sharp`` the tanh is replaced by its sign (a jump interface).
-    """
+def init_midsplit(mesh, ell):
+    """Horizontal-interface profile phi0 = tanh((0.5 - y)/(sqrt(2) ell))."""
     y = mesh.nodes[:, 1]
-    arg = (0.5 - y) / (np.sqrt(2.0) * ell)
-    return np.sign(arg) if sharp else np.tanh(arg)
+    return np.tanh((0.5 - y) / (np.sqrt(2.0) * ell))
 
 
-def init_random(mesh, seed, amplitude=0.05):
-    """Uniform random perturbation of the mixed state, in [-a, a]."""
+def init_random(mesh, seed):
+    """Uniform random perturbation of the mixed state, in [-0.05, 0.05]."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.uniform(-amplitude, amplitude, size=mesh.node_count)
+    return rng.uniform(-0.05, 0.05, size=mesh.node_count)
 
 
 def initial_state(mesh, config):
@@ -229,12 +232,7 @@ def run_simulation(config, callback=None, estimate_bound=False):
     """
     mesh = grid.build_mesh(config.n)
     params = config.build_params()
-    stopping = solvers.StoppingRule(
-        abs_residual=config.tolerance,
-        rel_residual=config.tolerance,
-        abs_increment=config.tolerance,
-        rel_increment=config.tolerance,
-    )
+    stopping = solvers.StoppingRule(config.tolerance)
     state = initial_state(mesh, config)
     summary = RunSummary(config=config)
     if estimate_bound:
@@ -243,19 +241,11 @@ def run_simulation(config, callback=None, estimate_bound=False):
 
     M = mesh.mass
     n_steps = int(round(config.t_final / config.tau))
-    lagged = solvers.LaggedLU()
-    if config.strategy == "monolithic":
-        kwargs = dict(stopping=stopping, max_iter=config.max_iterations, lagged=lagged)
-    else:
-        # the chord's frozen Jacobian converges linearly: more inner passes
-        kwargs = dict(
-            lagged=lagged,
-            stopping=stopping,
-            max_outer=config.max_iterations,
-            anderson_depth=config.anderson_depth,
-            chord=config.chord,
-            inner_max_iter=200 if config.chord else 50,
-        )
+    kwargs = dict(
+        stopping=stopping, max_iter=config.max_iterations, lagged=solvers.LaggedLU()
+    )
+    if config.strategy == "alternating":
+        kwargs.update(anderson_depth=config.anderson_depth, chord=config.chord)
 
     record0 = _make_record(0, 0.0, 0, 0, True, 0.0, state, params, M)
     summary.steps.append(record0)

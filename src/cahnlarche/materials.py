@@ -89,14 +89,15 @@ class DoubleWell:
         phi = np.asarray(phi, dtype=float)
         return np.full_like(phi, 4.0)
 
-    def measured_lipschitz(self, lo=-3.0, hi=3.0, samples=20001):
-        """Largest difference quotient of Psi_c' on a sample grid.
+    def measured_lipschitz(self):
+        """Largest difference quotient of Psi_c' on a grid of 20001 points
+        over [-3, 3].
 
         The stated bound 2*theta^2 applies on the quadratic tails; the quartic
         branch reaches Psi_c'' = 12 theta^2 near |phi| = theta, so the measured
         constant is larger. Reported as-is, never reconciled silently.
         """
-        x = np.linspace(lo, hi, samples)
+        x = np.linspace(-3.0, 3.0, 20001)
         d = self.psi_c_prime(x)
         return float(np.max(np.abs(np.diff(d)) / np.diff(x)))
 
@@ -179,9 +180,10 @@ class ElasticLaw:
         C = self.tensor(phi)
         return np.einsum("c,...cd,d->...", I_VOIGT, C, I_VOIGT)
 
-    def eigenvalue_bounds(self, samples=201):
-        """Extreme eigenvalues of C(phi) over phi in [-1, 1] (A2 constants)."""
-        phis = np.linspace(-1.0, 1.0, samples)
+    def eigenvalue_bounds(self):
+        """Extreme eigenvalues of C(phi) over 201 points phi in [-1, 1] (A2
+        constants)."""
+        phis = np.linspace(-1.0, 1.0, 201)
         eigs = np.linalg.eigvalsh(self.tensor(phis))
         return float(eigs.min()), float(eigs.max())
 

@@ -88,12 +88,6 @@ class SchemeContext:
     def mesh(self):
         return self.prev.mesh
 
-    @property
-    def dofmap(self):
-        if "dofmap" not in self._cache:
-            self._cache["dofmap"] = grid.build_dofmap(self.mesh)
-        return self._cache["dofmap"]
-
     # -- constant operators -------------------------------------------------
 
     @property
@@ -169,7 +163,7 @@ class SchemeContext:
         def build():
             law = self.params.elastic
             C = law.c_minus if not law.heterogeneous else self.C_prev_qp
-            return grid.assemble_vector_elasticity(self.mesh, C, check=False)
+            return grid.assemble_vector_elasticity(self.mesh, C)
 
         return self.frozen_operator("A_prev", build)
 
@@ -388,9 +382,8 @@ def residual(state, ctx):
         raise DivergedIterateError("non-finite residual")
 
     # Dirichlet rows carry the value residual
-    c = ctx.dofmap.constrained_dofs
-    x = state.pack()
-    out[c] = x[c]
+    c = mesh.constrained_u_dofs
+    out[2 * mesh.node_count + c] = state.u[c]
     return out
 
 
@@ -453,7 +446,7 @@ def _jacobian_blocks(state, ctx):
             "c,eqcd->eqd", I_VOIGT, C
         )
         G = -grid.assemble_coupling(mesh, w).data
-        A = grid.assemble_vector_elasticity(mesh, C, check=False).data
+        A = grid.assemble_vector_elasticity(mesh, C).data
     else:
         G = ctx.coupling_prev.data
         A = ctx.elastic_matrix_prev.data

@@ -11,8 +11,11 @@ All three iterations run in one loop, ``_iterate``. A solver supplies its
 residual and its step, which returns the new iterate and the increment; the
 loop keeps the report, measures increments in L2, and stops once at least
 one residual criterion (absolute or relative) and at least one increment
-criterion hold simultaneously. Failure to converge is a reported outcome,
-not an exception.
+criterion hold simultaneously, all four with the one tolerance of the
+``StoppingRule``. The phase-field block of alternating minimization stops
+on the outer loop's rule, within at most 50 passes, or 200 with the chord
+(``_INNER_MAX_ITER``). Failure to converge is a reported outcome, not an
+exception.
 
 Every Newton matrix (monolithic, phase-field block, chord) arrives from
 ``schemes`` in its symmetric saddle-point form on the free dofs, already in
@@ -24,7 +27,7 @@ The exact Newton solves (monolithic, and the phase-field block without the
 chord) reuse a lagged LU (``LaggedLU``): the latest saddle LU preconditions
 at most ``_LAGGED_GMRES_STEPS`` GMRES steps on each new matrix, which is
 factored, and its LU held instead, only when the GMRES iterate fails the
-1e-10 residual check of ``grid.solve_linear``. GMRES gives up early once a
+residual check of ``grid.solve_linear``. GMRES gives up early once a
 step beyond the first cuts its residual estimate by less than
 ``1 / _GMRES_GIVE_UP``. ``harness.run_simulation`` passes one ``LaggedLU``
 to every time step, so a step's first matrix is solved with the previous
@@ -49,23 +52,20 @@ class StoppingRule:
     """Mixed residual/increment termination test.
 
     Each family (residual, increment) offers an absolute and a relative
-    criterion; the iteration terminates when both families are satisfied,
-    each through at least one of its two criteria. Comparisons are
-    inclusive.
+    criterion, all four with the tolerance ``tol``; the iteration terminates
+    when both families are satisfied, each through at least one of its two
+    criteria. Comparisons are inclusive.
     """
 
-    abs_residual: float = 1e-6
-    rel_residual: float = 1e-6
-    abs_increment: float = 1e-6
-    rel_increment: float = 1e-6
+    tol: float = 1e-6
 
     def residual_ok(self, res, res0):
-        if res <= self.abs_residual:
+        if res <= self.tol:
             return True
-        return res0 > 0 and res / res0 <= self.rel_residual
+        return res0 > 0 and res / res0 <= self.tol
 
     def increment_ok(self, inc, inc_first):
-        if sum(inc) <= self.abs_increment:
+        if sum(inc) <= self.tol:
             return True
         rel = 0.0
         for a, b in zip(inc, inc_first):
@@ -73,7 +73,7 @@ class StoppingRule:
                 rel += a / b
             elif a > 0:
                 return False
-        return rel <= self.rel_increment
+        return rel <= self.tol
 
     def satisfied(self, res, res0, inc, inc_first):
         return self.residual_ok(res, res0) and self.increment_ok(inc, inc_first)
@@ -134,9 +134,7 @@ def _iterate(state, residual, step, stopping, max_iter, exhausted, r=None):
     out of iterations ends it with ``exhausted``. Returns the last iterate
     and the SolveReport.
     """
-    report = SolveReport(
-        converged=False, iterations=0, increment_floor=stopping.abs_increment
-    )
+    report = SolveReport(converged=False, iterations=0, increment_floor=stopping.tol)
     try:
         if r is None:
             r = residual(state)
@@ -217,9 +215,9 @@ _LAGGED_GMRES_STEPS = 5
 _GMRES_GIVE_UP = 0.05
 
 # GMRES stops once its own residual estimate is below this fraction of the
-# right-hand side: a tenth of grid.solve_linear's 1e-10 residual check, so
-# that the iterate it returns passes that check.
-_GMRES_RTOL = 1e-11
+# right-hand side, so that the iterate it returns passes the residual check
+# of grid.solve_linear.
+_GMRES_RTOL = grid.RESIDUAL_TOL / 10
 
 
 def _gmres(S, d, precond, b):
@@ -308,12 +306,12 @@ class LaggedLU:
 def _newton_solve(S, r, ctx, lagged=None):
     """Newton increment dx with J dx = -r, from the saddle form S of J.
 
-    The residual check is made in J's own rows, |J dx + r| <= 1e-10 |r|:
-    S only scales and permutes J's rows and columns, and r is zero on the
-    constrained dofs that S drops. The row scales are the saddle rows of a
-    vector of ones. With the ``LaggedLU`` ``lagged`` holding an LU of S's
-    size, GMRES preconditioned by it is tried first; S is factored only if
-    its iterate fails the check.
+    The residual check is made in J's own rows, |J dx + r| <= tol |r| with
+    tol = ``grid.RESIDUAL_TOL``: S only scales and permutes J's rows and
+    columns, and r is zero on the constrained dofs that S drops. The row
+    scales are the saddle rows of a vector of ones. With the ``LaggedLU``
+    ``lagged`` holding an LU of S's size, GMRES preconditioned by it is
+    tried first; S is factored only if its iterate fails the check.
     """
     mesh, tau = ctx.mesh, ctx.params.tau
     lagged = LaggedLU() if lagged is None else lagged
@@ -450,7 +448,7 @@ def solve_elasticity_block(ctx, state):
     if ctx.scheme_kind == "implicit":
         phi_qp = grid.scalar_at_qp(mesh, state.phi)
         C = law.tensor(phi_qp)
-        A = grid.assemble_vector_elasticity(mesh, C, check=False)
+        A = grid.assemble_vector_elasticity(mesh, C)
         vec = law.xi * np.einsum("c,eqcd->eqd", grid.I_VOIGT, C)
         G = grid.assemble_coupling(mesh, vec)
         rhs = ctx.f_load + G.T @ state.phi
@@ -475,14 +473,17 @@ def solve_elasticity_block(ctx, state):
 # Alternating minimization
 # ---------------------------------------------------------------------------
 
+# Pass cap of the phase-field block, by ``chord``: the chord's frozen
+# Jacobian converges linearly, so it gets more passes than exact Newton.
+_INNER_MAX_ITER = {False: 50, True: 200}
+
+
 def alternating_minimization(
     ctx,
     initial,
     stopping=None,
-    max_outer=200,
+    max_iter=200,
     anderson_depth=0,
-    inner_stopping=None,
-    inner_max_iter=50,
     chord=False,
     track_potential=False,
     lagged=None,
@@ -492,13 +493,16 @@ def alternating_minimization(
     Each outer iteration solves the phase-field block by Newton at frozen
     displacement, then the elasticity block at the new phase field. The
     concatenated iterate may then be mixed by Anderson acceleration of the
-    given depth (0 = plain iteration). Termination uses the full coupled
-    residual. The exact block Newton solves share the ``LaggedLU``
+    given depth (0 = plain iteration). The outer loop stops on the full
+    coupled residual, the phase-field block on its own, both by the same
+    ``stopping`` rule; the block has at most ``_INNER_MAX_ITER[chord]``
+    passes. The exact block Newton solves share the ``LaggedLU``
     ``lagged`` (a fresh one if not given). With ``track_potential`` the
     report's ``potential_history`` holds the step potential of every iterate
     whose residual was evaluated.
     """
     nn = ctx.mesh.node_count
+    stopping = stopping or StoppingRule()
     window = AndersonWindow(anderson_depth)
     lagged = LaggedLU() if lagged is None else lagged
     potentials = []
@@ -517,8 +521,8 @@ def alternating_minimization(
     def step(state, r):
         x_old = state.pack()
         state, inner = newton_ch_block(
-            ctx, state, r=r[: 2 * nn], stopping=inner_stopping,
-            max_iter=inner_max_iter, chord=chord, lagged=lagged,
+            ctx, state, r=r[: 2 * nn], stopping=stopping,
+            max_iter=_INNER_MAX_ITER[chord], chord=chord, lagged=lagged,
         )
         if not inner.converged:
             raise _StepFailed(f"phase-field block failed: {inner.reason}")
@@ -530,8 +534,8 @@ def alternating_minimization(
         return State.unpack(x_new, ctx.mesh), x_new - x_old
 
     state, report = _iterate(
-        _constrained_copy(ctx, initial), residual, step, stopping or StoppingRule(),
-        max_outer, "maximum outer iterations reached",
+        _constrained_copy(ctx, initial), residual, step, stopping,
+        max_iter, "maximum outer iterations reached",
     )
     report.potential_history = potentials
     return state, report

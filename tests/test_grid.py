@@ -119,13 +119,6 @@ def test_scalar_load_constant():
     assert b.sum() == pytest.approx(1.0, rel=1e-13)
 
 
-def test_elasticity_spd_check():
-    mesh = grid.build_mesh(3)
-    bad = -np.eye(3)
-    with pytest.raises(ValueError):
-        grid.assemble_vector_elasticity(mesh, bad, check=True)
-
-
 def test_elasticity_rigid_body_and_symmetry():
     mesh = grid.build_mesh(4)
     C = np.array([[100.0, 20.0, 0.0], [20.0, 100.0, 0.0], [0.0, 0.0, 200.0]])

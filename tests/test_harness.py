@@ -34,11 +34,19 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("n", 1), ("tau", 0.0), ("tolerance", -1e-6), ("anderson_depth", -1),
-         ("max_iterations", 0), ("snapshot_every", -3)],
+         ("max_iterations", 0), ("snapshot_every", -3), ("seed", -1),
+         # integer fields take integers only, never rounded
+         ("n", 8.5), ("n", 8.0), ("n", True), ("anderson_depth", 1.5),
+         ("max_iterations", 2.5), ("seed", 0.5), ("snapshot_every", False)],
     )
     def test_rejects_invalid_field(self, field, value):
         with pytest.raises(harness.ConfigError, match=f"^{field} must be"):
             harness.RunConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = harness.RunConfig(n=np.int64(8), anderson_depth=np.int32(2), seed=np.uint8(3))
+        assert (cfg.n, cfg.anderson_depth, cfg.seed) == (8, 2, 3)
+        assert type(cfg.n) is int and type(cfg.seed) is int
 
     @pytest.mark.parametrize(
         "field, value", [("m", 0.0), ("gamma", -5.0), ("ell", 0.0), ("theta", 1.0)]
@@ -88,11 +96,6 @@ class TestInitialData:
         assert phi[np.isclose(mesh.nodes[:, 1], 1.0)].mean() == pytest.approx(-1.0)
         mid = np.isclose(mesh.nodes[:, 1], 0.5)
         assert np.abs(phi[mid]).max() < 1e-12
-
-    def test_midsplit_sharp(self):
-        mesh = grid.build_mesh(8)
-        phi = harness.init_midsplit(mesh, ell=0.02, sharp=True)
-        assert set(np.unique(phi)) <= {-1.0, 0.0, 1.0}
 
     def test_random_seeded(self):
         mesh = grid.build_mesh(8)
@@ -222,6 +225,11 @@ class TestSweeps:
         rows = harness.run_sweep(base, "anderson", values=(0, 2))
         assert [r["anderson_depth"] for r in rows] == [0, 2]
 
+    def test_anderson_sweep_rejects_fractional_depth(self):
+        base = harness.RunConfig(n=8, t_final=2e-5)
+        with pytest.raises(harness.ConfigError, match="^anderson_depth must be an integer"):
+            harness.run_sweep(base, "anderson", values=(1.5,))
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             harness.run_sweep(harness.RunConfig(), "tau")
@@ -239,12 +247,18 @@ class TestCli:
     def test_run_command(self, tmp_path, capsys):
         from cahnlarche import cli
 
+        config = harness.RunConfig(n=8, t_final=2e-5)
         cfg = tmp_path / "c.ini"
-        cfg.write_text(harness.RunConfig(n=8, t_final=2e-5).to_text())
+        cfg.write_text(config.to_text())
         rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 0
         assert (tmp_path / "o" / "energy.csv").exists()
         assert (tmp_path / "o" / "snapshot_final.vtk").exists()
+        # written on the run's own mesh, the initial snapshot is that of a fresh one
+        mesh = grid.build_mesh(8)
+        want = tmp_path / "want.vtk"
+        harness.write_vtk(want, mesh, harness.initial_state(mesh, config), "initial")
+        assert (tmp_path / "o" / "snapshot_initial.vtk").read_text() == want.read_text()
 
     @pytest.mark.parametrize(
         "flag, value, field",

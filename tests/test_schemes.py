@@ -53,7 +53,7 @@ def saddle_order(ctx, size):
     in the order of the mesh's saddle pattern."""
     nn = ctx.mesh.node_count
     free = 2 * nn + np.setdiff1d(
-        np.arange(2 * nn), ctx.dofmap.constrained_dofs - 2 * nn
+        np.arange(2 * nn), ctx.mesh.constrained_u_dofs
     )
     free = free[: size - 2 * nn]  # none for the (phi, mu) block
     rows = np.concatenate([np.arange(nn, 2 * nn), np.arange(nn), free])
@@ -90,7 +90,7 @@ def expand_saddle(state, ctx):
         return sp.csr_matrix((data, p.indices, p.indptr), shape=p.shape).toarray()
 
     blocks = schemes._jacobian_blocks(state, ctx)
-    c = ctx.dofmap.constrained_dofs
+    c = 2 * ctx.mesh.node_count + ctx.mesh.constrained_u_dofs
     free = np.setdiff1d(np.arange(2 * nn, 4 * nn), c)
     J[nn : 2 * nn, c] = on_pattern(blocks["mu_u"], "coupling")[:, c - 2 * nn]
     J[np.ix_(free, c)] = -on_pattern(blocks["u_u"], "vector")[
@@ -129,7 +129,7 @@ def test_saddle_structure_semi_implicit():
     J_u_phi = J[2 * nn :, :nn]
     # remove the Dirichlet-identity rows of the u block before comparing
     free = np.setdiff1d(
-        np.arange(2 * nn), ctx.dofmap.constrained_dofs - 2 * nn
+        np.arange(2 * nn), ctx.mesh.constrained_u_dofs
     )
     assert np.allclose(J_mu_u[:, free], -J_u_phi[free, :].T, atol=1e-12)
 
@@ -166,7 +166,7 @@ def quadrature_residual(state, ctx):
     r_u[1::2] -= load(grid.scalar_at_qp(mesh, ctx.f[1::2]))
 
     out = np.concatenate([r_phi, r_mu, r_u])
-    c = ctx.dofmap.constrained_dofs
+    c = 2 * ctx.mesh.node_count + ctx.mesh.constrained_u_dofs
     out[c] = state.pack()[c]
     return out
 

@@ -40,6 +40,23 @@ class TestStoppingRule:
         # abs residual large, rel residual small; abs increment small
         assert self.rule.satisfied(1.0, 1e7, (1e-7, 0.0, 0.0), (1.0, 1.0, 1.0))
 
+    def test_one_tolerance_for_all_four_criteria(self):
+        rule = solvers.StoppingRule(1e-3)
+        # residual, absolute (the relative criterion fails on both)
+        assert rule.residual_ok(1e-3, 1e-3)
+        assert not rule.residual_ok(1.1e-3, 1.1e-3)
+        # residual, relative
+        assert rule.residual_ok(1.0, 1e3)
+        assert not rule.residual_ok(1.0, 0.9e3)
+        # increment, absolute (the relative criterion fails on both)
+        assert rule.increment_ok((1e-3, 0.0, 0.0), (1e-3, 1.0, 1.0))
+        assert not rule.increment_ok((1.1e-3, 0.0, 0.0), (1.1e-3, 1.0, 1.0))
+        # increment, relative
+        assert rule.increment_ok((2.0, 0.0, 0.0), (2e3, 1.0, 1.0))
+        assert not rule.increment_ok((2.0, 0.0, 0.0), (1.9e3, 1.0, 1.0))
+        args = (1e-3, 1e-3, (1e-3, 0.0, 0.0), (1e-3, 1.0, 1.0))
+        assert rule.satisfied(*args) and not self.rule.satisfied(*args)
+
 
 class TestNewtonMonolithic:
     def test_converges_and_residual_small(self):
@@ -66,7 +83,7 @@ class TestNewtonMonolithic:
     def test_dirichlet_enforced(self):
         ctx, prev = midsplit_ctx()
         state, rep = solvers.newton_monolithic(ctx, prev)
-        c = ctx.dofmap.constrained_dofs - 2 * ctx.mesh.node_count
+        c = ctx.mesh.constrained_u_dofs
         assert np.abs(state.u[c]).max() < 1e-12
 
     def test_nonconvergence_reported_not_raised(self):
@@ -107,7 +124,7 @@ def random_ctx(n, kind, seed=0, mesh=None, **params):
 
     ctx = schemes.SchemeContext(prev=fields(), params=params, scheme_kind=kind)
     state = fields()
-    state.u[ctx.dofmap.constrained_dofs - 2 * nn] = 0.0
+    state.u[ctx.mesh.constrained_u_dofs] = 0.0
     return ctx, state
 
 
@@ -141,11 +158,11 @@ def oracle_jacobian(state, ctx, block):
     )
     if block != "full":
         return sp.bmat([[M / p.tau, p.m * K], [J_mp, M]], format="csr")
-    A = grid.assemble_vector_elasticity(mesh, C, check=False)
+    A = grid.assemble_vector_elasticity(mesh, C)
     J = sp.bmat(
         [[M / p.tau, p.m * K, None], [J_mp, M, G], [-G.T, None, A]], format="lil"
     )
-    c = ctx.dofmap.constrained_dofs
+    c = 2 * ctx.mesh.node_count + ctx.mesh.constrained_u_dofs
     J[c, :] = 0.0
     J[c, c] = 1.0
     return J.tocsr()
@@ -207,7 +224,8 @@ class TestSaddleForm:
         J = oracle_jacobian(state, ctx, block)
         b = np.random.Generator(np.random.PCG64(1)).normal(size=J.shape[0])
         if block == "full":
-            b[ctx.dofmap.constrained_dofs] = 0.0  # the residual of u_c = 0
+            # the residual of u_c = 0
+            b[2 * ctx.mesh.node_count + ctx.mesh.constrained_u_dofs] = 0.0
         x = solvers._newton_solve(self.matrix(ctx, state, block), -b, ctx)
         ref = spsolve(J.tocsc(), b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -475,7 +493,7 @@ class TestElasticityBlock:
             mesh, law.xi * (np.array([1.0, 1.0, 0.0]) @ law.c_minus)
         ).toarray()
         rhs = G.T @ prev.phi
-        c = ctx.dofmap.constrained_dofs - 2 * mesh.node_count
+        c = ctx.mesh.constrained_u_dofs
         keep = np.setdiff1d(np.arange(2 * mesh.node_count), c)
         u = np.zeros(2 * mesh.node_count)
         u[keep] = np.linalg.solve(A[np.ix_(keep, keep)], rhs[keep])
@@ -521,6 +539,29 @@ class TestAlternatingMinimization:
         assert rep.converged
         assert rep.residual_norms[-1] <= 1e-6
 
+    @pytest.mark.parametrize("chord, cap", [(False, 50), (True, 200)])
+    def test_phase_field_block_gets_the_outer_rule(self, monkeypatch, chord, cap):
+        ctx, prev = midsplit_ctx()
+        seen, block = [], solvers.newton_ch_block
+
+        def recording(ctx, state, **kwargs):
+            seen.append((kwargs["stopping"], kwargs["max_iter"]))
+            return block(ctx, state, **kwargs)
+
+        monkeypatch.setattr(solvers, "newton_ch_block", recording)
+        rule = solvers.StoppingRule(1e-7)
+        _, rep = solvers.alternating_minimization(ctx, prev, stopping=rule, chord=chord)
+        assert rep.converged and seen
+        assert all(stopping is rule and max_iter == cap for stopping, max_iter in seen)
+
+    def test_tight_tolerance_reaches_every_solve(self):
+        ctx, prev = midsplit_ctx(n=8)
+        rule = solvers.StoppingRule(1e-9)
+        _, rep = solvers.alternating_minimization(ctx, prev, stopping=rule)
+        r = rep.residual_norms
+        assert rep.converged
+        assert r[-1] <= max(1e-9, 1e-9 * r[0])
+
     def test_agrees_with_monolithic(self):
         ctx, prev = midsplit_ctx()
         s_am, _ = solvers.alternating_minimization(ctx, prev)
@@ -538,8 +579,7 @@ class TestAlternatingMinimization:
 
     def test_chord_matches_exact_newton_solution(self):
         ctx, prev = midsplit_ctx()
-        s1, _ = solvers.alternating_minimization(ctx, prev, chord=True,
-                                                 inner_max_iter=200)
+        s1, _ = solvers.alternating_minimization(ctx, prev, chord=True)
         s2, _ = solvers.alternating_minimization(ctx, prev, chord=False)
         assert np.abs(s1.phi - s2.phi).max() < 1e-8
 
@@ -548,15 +588,16 @@ class TestAlternatingMinimization:
         state, rep = solvers.alternating_minimization(ctx, prev)
         assert rep.converged
 
-    def test_inner_failure_reported(self):
+    def test_inner_failure_reported(self, monkeypatch):
         ctx, prev = midsplit_ctx()
-        state, rep = solvers.alternating_minimization(ctx, prev, inner_max_iter=1)
+        monkeypatch.setattr(solvers, "_INNER_MAX_ITER", {False: 1, True: 1})
+        state, rep = solvers.alternating_minimization(ctx, prev)
         assert not rep.converged
         assert rep.reason.startswith("phase-field block failed")
 
     def test_nonconvergence_reported_not_raised(self):
         ctx, prev = midsplit_ctx()
-        state, rep = solvers.alternating_minimization(ctx, prev, max_outer=1)
+        state, rep = solvers.alternating_minimization(ctx, prev, max_iter=1)
         assert not rep.converged
         assert rep.iterations == 1
         assert rep.reason
