@@ -119,7 +119,7 @@ def main(argv=None):
     _add_common(p_run)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
-    p_sweep.add_argument("preset", choices=("gamma", "xi", "anderson"))
+    p_sweep.add_argument("preset", choices=harness.SWEEPS)
     p_sweep.add_argument("--values", nargs="*", type=float, default=None)
     _add_common(p_sweep)
 

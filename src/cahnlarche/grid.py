@@ -10,6 +10,7 @@ counterclockwise node ordering.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -285,6 +286,7 @@ class Mesh:
     elements: np.ndarray    # (n^2, 4) connectivity, counterclockwise
     boundary_nodes: np.ndarray
     quadrature: QuadratureRule
+    # operators built on first use, each under a tuple naming all its inputs
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -297,41 +299,33 @@ class Mesh:
 
     # Precomputed assembly data -------------------------------------------
 
-    @property
+    @cached_property
     def shape_vals(self):
-        if "N" not in self._cache:
-            self._cache["N"] = shape_values(self.quadrature.points)
-        return self._cache["N"]
+        return shape_values(self.quadrature.points)
 
-    @property
+    @cached_property
     def phys_grads(self):
         """Physical shape gradients (nq, 4, 2); constant across elements."""
-        if "dN" not in self._cache:
-            self._cache["dN"] = shape_gradients(self.quadrature.points) / self.h
-        return self._cache["dN"]
+        return shape_gradients(self.quadrature.points) / self.h
 
     @property
     def qp_weights(self):
         """Physical quadrature weights per point (area-scaled)."""
         return self.quadrature.weights * self.h**2
 
-    @property
+    @cached_property
     def u_dofs(self):
         """(n_elem, 8) interleaved displacement dofs per element."""
-        if "udofs" not in self._cache:
-            e = self.elements
-            ud = np.empty((e.shape[0], 8), dtype=int)
-            ud[:, 0::2] = 2 * e
-            ud[:, 1::2] = 2 * e + 1
-            self._cache["udofs"] = ud
-        return self._cache["udofs"]
+        e = self.elements
+        ud = np.empty((e.shape[0], 8), dtype=int)
+        ud[:, 0::2] = 2 * e
+        ud[:, 1::2] = 2 * e + 1
+        return ud
 
-    @property
+    @cached_property
     def b_matrices(self):
         """Strain-displacement matrices, (nq, 3, 8), engineering shear."""
-        if "B" not in self._cache:
-            self._cache["B"] = strain_displacement(self.phys_grads)
-        return self._cache["B"]
+        return strain_displacement(self.phys_grads)
 
     @property
     def constrained_u_dofs(self):
@@ -340,14 +334,10 @@ class Mesh:
         b = self.boundary_nodes
         return np.stack([2 * b, 2 * b + 1], axis=1).ravel()
 
-    @property
+    @cached_property
     def free_u_dofs(self):
         """The other displacement dofs (interior nodes), ascending."""
-        if "free_u" not in self._cache:
-            self._cache["free_u"] = np.setdiff1d(
-                np.arange(2 * self.node_count), self.constrained_u_dofs
-            )
-        return self._cache["free_u"]
+        return np.setdiff1d(np.arange(2 * self.node_count), self.constrained_u_dofs)
 
     def pattern(self, kind):
         """Fixed CSR pattern of "scalar" (4x4 element matrices), "vector"
@@ -369,19 +359,15 @@ class Mesh:
             self._cache[key] = SaddlePattern.of(self, full)
         return self._cache[key]
 
-    @property
+    @cached_property
     def mass(self):
         """Scalar mass matrix, assembled once per mesh."""
-        if "mass" not in self._cache:
-            self._cache["mass"] = assemble_mass(self)
-        return self._cache["mass"]
+        return assemble_mass(self)
 
-    @property
+    @cached_property
     def stiffness(self):
         """Scalar stiffness matrix, assembled once per mesh."""
-        if "stiffness" not in self._cache:
-            self._cache["stiffness"] = assemble_stiffness(self)
-        return self._cache["stiffness"]
+        return assemble_stiffness(self)
 
 
 def build_mesh(n_per_side):

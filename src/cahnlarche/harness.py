@@ -13,7 +13,7 @@ import io
 import json
 import numbers
 import os
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
@@ -283,8 +283,7 @@ def run_simulation(config, callback=None, estimate_bound=False):
 
 
 def _make_record(step, time, iterations, loops, converged, residual, state, params, M):
-    # the schemes dissipate the 2x2-quadrature energy; monitor that one
-    e = schemes.free_energy(state, params, quadrature="scheme")
+    e = schemes.free_energy(state, params)
     mass = float(np.ones_like(state.phi) @ (M @ state.phi))
     return StepRecord(
         step=step,
@@ -354,19 +353,21 @@ def write_outputs(summary, out_dir, mesh=None, snapshots=()):
         for s in summary.steps[1:]:
             w.writerow([s.step, s.time, s.iterations, s.loops, s.residual])
 
+    average = summary.average_iterations
     meta = {
-        "config": {k: getattr(summary.config, k) for k in _config_keys()},
+        "config": asdict(summary.config),
         "completed": summary.completed,
         "failed_at_step": summary.failed_at_step,
         "failure_reason": summary.failure_reason,
-        "average_iterations": summary.average_iterations,
+        # JSON has no NaN: a run without a completed step has no average
+        "average_iterations": average if np.isfinite(average) else None,
     }
     if summary.constants is not None:
         meta["constants"] = asdict(summary.constants)
     if summary.bound is not None:
         meta["rate_bound"] = summary.bound.as_dict()
     with open(os.path.join(out_dir, "run.json"), "w") as fh:
-        json.dump(meta, fh, indent=2)
+        json.dump(meta, fh, indent=2, allow_nan=False)
 
     if mesh is not None:
         for label, state in snapshots:
@@ -375,43 +376,30 @@ def write_outputs(summary, out_dir, mesh=None, snapshots=()):
             )
 
 
-def _config_keys():
-    keys = []
-    for ks in RunConfig._SECTIONS.values():
-        keys.extend(ks)
-    return keys
-
-
 # ---------------------------------------------------------------------------
 # Parameter sweeps
 # ---------------------------------------------------------------------------
 
-GAMMA_SWEEP = (1.0, 5.0, 10.0, 50.0, 100.0)
-XI_SWEEP = (0.01, 0.1, 1.0, 1.5, 2.0)
-ANDERSON_SWEEP = (0, 1, 2, 3, 4, 5)
+# Sweep presets: the RunConfig field each varies and its default values.
+SWEEPS = {
+    "gamma": ("gamma", (1.0, 5.0, 10.0, 50.0, 100.0)),
+    "xi": ("xi", (0.01, 0.1, 1.0, 1.5, 2.0)),
+    "anderson": ("anderson_depth", (0, 1, 2, 3, 4, 5)),
+}
 
 
 def run_sweep(base_config, preset, values=None):
     """Run a family of simulations varying one control parameter.
 
-    ``preset`` is one of 'gamma', 'xi', 'anderson'; rows report the varied
-    value, average iteration count and completion status.
+    ``preset`` is a key of ``SWEEPS``; rows report the varied value, average
+    iteration count and completion status.
     """
-    if preset == "gamma":
-        values = values if values is not None else GAMMA_SWEEP
-        key = "gamma"
-    elif preset == "xi":
-        values = values if values is not None else XI_SWEEP
-        key = "xi"
-    elif preset == "anderson":
-        values = values if values is not None else ANDERSON_SWEEP
-        key = "anderson_depth"
-    else:
+    if preset not in SWEEPS:
         raise ValueError(f"unknown sweep preset {preset!r}")
-
+    key, defaults = SWEEPS[preset]
     rows = []
-    for v in values:
-        cfg = RunConfig(**{**_config_dict(base_config), key: v})
+    for v in defaults if values is None else values:
+        cfg = replace(base_config, **{key: v})
         summary = run_simulation(cfg)
         rows.append(
             {
@@ -431,7 +419,3 @@ def write_sweep_csv(rows, path):
         w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         w.writeheader()
         w.writerows(rows)
-
-
-def _config_dict(config):
-    return {k: getattr(config, k) for k in _config_keys()}

@@ -14,9 +14,16 @@ All residuals use the sign conventions of the variational statements; at a
 fixed point mu equals the variational derivative of the free energy.
 Dirichlet rows of the displacement block are replaced by value residuals.
 Jacobians come in symmetric saddle form on the free dofs (``jacobian``).
+The free energy is evaluated on the 2x2 rule the residuals are assembled
+with, which is the discrete energy the schemes dissipate. A
+``SchemeContext`` computes each previous-level field once
+(``cached_property``); operators built from C(phi^{n-1}) go through
+``SchemeContext.frozen_operator``, which keeps them for the step or, for a
+homogeneous law, on the mesh.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +83,7 @@ class SchemeContext:
     scheme_kind: str
     R: np.ndarray = None  # nodal source, None = zero
     f: np.ndarray = None  # nodal body force (interleaved), None = zero
+    # per-step operators of frozen_operator, and the chord's LU (solvers)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -104,40 +112,29 @@ class SchemeContext:
             return np.zeros(self.mesh.node_count)
         return self.R
 
-    @property
+    @cached_property
     def R_load(self):
         """Source load M R, fixed for the step."""
-        if "R_load" not in self._cache:
-            self._cache["R_load"] = self.M @ self.R_nodal
-        return self._cache["R_load"]
+        return self.M @ self.R_nodal
 
-    @property
+    @cached_property
     def f_load(self):
-        if "f_load" not in self._cache:
-            if self.f is None:
-                self._cache["f_load"] = np.zeros(2 * self.mesh.node_count)
-            else:
-                fx = grid.scalar_at_qp(self.mesh, self.f[0::2])
-                fy = grid.scalar_at_qp(self.mesh, self.f[1::2])
-                self._cache["f_load"] = grid.assemble_vector_load(
-                    self.mesh, np.stack([fx, fy], axis=-1)
-                )
-        return self._cache["f_load"]
+        if self.f is None:
+            return np.zeros(2 * self.mesh.node_count)
+        fx = grid.scalar_at_qp(self.mesh, self.f[0::2])
+        fy = grid.scalar_at_qp(self.mesh, self.f[1::2])
+        return grid.assemble_vector_load(self.mesh, np.stack([fx, fy], axis=-1))
 
     # -- previous-level fields at quadrature points --------------------------
 
-    @property
+    @cached_property
     def phi_prev_qp(self):
-        if "phi_prev_qp" not in self._cache:
-            self._cache["phi_prev_qp"] = grid.scalar_at_qp(self.mesh, self.prev.phi)
-        return self._cache["phi_prev_qp"]
+        return grid.scalar_at_qp(self.mesh, self.prev.phi)
 
-    @property
+    @cached_property
     def C_prev_qp(self):
         """Stiffness tensor at the frozen phase field (semi-implicit)."""
-        if "C_prev_qp" not in self._cache:
-            self._cache["C_prev_qp"] = self.params.elastic.tensor(self.phi_prev_qp)
-        return self._cache["C_prev_qp"]
+        return self.params.elastic.tensor(self.phi_prev_qp)
 
     def frozen_operator(self, name, build):
         """Operator ``build()`` that depends on C(phi^{n-1}), built once.
@@ -180,19 +177,14 @@ class SchemeContext:
 
         return self.frozen_operator("G_prev", build)
 
-    @property
+    @cached_property
     def ici_prev_qp(self):
         """xi^2 I:C(phi^{n-1})I at quadrature points."""
-        if "ici_prev" not in self._cache:
-            law = self.params.elastic
-            if not law.heterogeneous:
-                val = law.xi**2 * (I_VOIGT @ law.c_minus @ I_VOIGT)
-                self._cache["ici_prev"] = np.full_like(self.phi_prev_qp, val)
-            else:
-                self._cache["ici_prev"] = law.xi**2 * np.einsum(
-                    "c,eqcd,d->eq", I_VOIGT, self.C_prev_qp, I_VOIGT
-                )
-        return self._cache["ici_prev"]
+        law = self.params.elastic
+        if not law.heterogeneous:
+            val = law.xi**2 * (I_VOIGT @ law.c_minus @ I_VOIGT)
+            return np.full_like(self.phi_prev_qp, val)
+        return law.xi**2 * np.einsum("c,eqcd,d->eq", I_VOIGT, self.C_prev_qp, I_VOIGT)
 
     @property
     def coupled_mass_prev(self):
@@ -202,33 +194,26 @@ class SchemeContext:
             lambda: grid.assemble_weighted_mass(self.mesh, self.ici_prev_qp),
         )
 
-    @property
+    @cached_property
     def explicit_elastic_qp(self):
         """Explicit part of the semi-implicit coupling term at quadrature.
 
         0.5 * (eps(u^{n-1}) - xi phi^{n-1} I) : C'(phi^{n-1}) (same), a scalar
         per quadrature point, frozen for the whole step.
         """
-        if "expl_qp" not in self._cache:
-            law = self.params.elastic
-            if law.heterogeneous:
-                eps = grid.strain_at_qp(self.mesh, self.prev.u)
-                e = eps - law.xi * self.phi_prev_qp[..., None] * I_VOIGT
-                Cp = law.tensor_prime(self.phi_prev_qp)
-                expl = 0.5 * np.einsum("eqc,eqcd,eqd->eq", e, Cp, e)
-            else:  # C' vanishes
-                expl = np.zeros_like(self.phi_prev_qp)
-            self._cache["expl_qp"] = expl
-        return self._cache["expl_qp"]
+        law = self.params.elastic
+        if not law.heterogeneous:  # C' vanishes
+            return np.zeros_like(self.phi_prev_qp)
+        eps = grid.strain_at_qp(self.mesh, self.prev.u)
+        e = eps - law.xi * self.phi_prev_qp[..., None] * I_VOIGT
+        Cp = law.tensor_prime(self.phi_prev_qp)
+        return 0.5 * np.einsum("eqc,eqcd,eqd->eq", e, Cp, e)
 
-    @property
+    @cached_property
     def psi_e_prime_prev_qp(self):
-        if "psie_prev" not in self._cache:
-            dw = self.params.double_well
-            self._cache["psie_prev"] = dw.psi_e_prime(self.phi_prev_qp)
-        return self._cache["psie_prev"]
+        return self.params.double_well.psi_e_prime(self.phi_prev_qp)
 
-    @property
+    @cached_property
     def frozen_mu_load(self):
         """Part of the mu rows fixed for the step (homogeneous, semi-implicit).
 
@@ -236,41 +221,12 @@ class SchemeContext:
         the explicit double-well load plus the coupling load at the previous
         state, from which ``residual`` continues by matvecs.
         """
-        if "mu_load" not in self._cache:
-            p = self.params
-            self._cache["mu_load"] = (p.gamma / p.ell) * grid.assemble_scalar_load(
-                self.mesh, self.psi_e_prime_prev_qp
-            ) - grid.assemble_scalar_load(
-                self.mesh, semi_implicit_coupling_term(self.prev, self)
-            )
-        return self._cache["mu_load"]
-
-
-def _energy_rule(mesh):
-    """4x4 Gauss data for energy evaluation.
-
-    The nonconvex potential of a Q1 field is piecewise quartic per axis and
-    the interpolated stiffness piecewise quintic, beyond the reach of the
-    2x2 assembly rule; a 4x4 rule integrates both exactly.
-    """
-    if "energy_rule" not in mesh._cache:
-        rule = grid.gauss_rule(4)
-        vals = grid.shape_values(rule.points)
-        grads = grid.shape_gradients(rule.points) / mesh.h
-        weights = rule.weights * mesh.h**2
-        mesh._cache["energy_rule"] = (
-            vals, grads, grid.strain_displacement(grads), weights
+        p = self.params
+        return (p.gamma / p.ell) * grid.assemble_scalar_load(
+            self.mesh, self.psi_e_prime_prev_qp
+        ) - grid.assemble_scalar_load(
+            self.mesh, semi_implicit_coupling_term(self.prev, self)
         )
-    return mesh._cache["energy_rule"]
-
-
-def _fields_at_energy_rule(mesh, phi, u):
-    vals, grads, B, w = _energy_rule(mesh)
-    phi_e = phi[mesh.elements]
-    phi_qp = phi_e @ vals.T
-    grad_qp = np.einsum("ei,qid->eqd", phi_e, grads)
-    eps_qp = np.einsum("qca,ea->eqc", B, u[mesh.u_dofs])
-    return phi_qp, grad_qp, eps_qp, w
 
 
 # ---------------------------------------------------------------------------
@@ -494,32 +450,21 @@ def ch_jacobian(state, ctx):
 # Energies and step potentials
 # ---------------------------------------------------------------------------
 
-def free_energy(state, params, quadrature="exact"):
+def free_energy(state, params):
     """Free energy with the unsplit double well and the current C(phi).
 
-    Parameters
-    ----------
-    quadrature : {"exact", "scheme"}
-        "exact" uses a 4x4 Gauss rule, exact for the piecewise-polynomial
-        integrand of Q1 fields. "scheme" uses the 2x2 rule the schemes are
-        assembled with; the time discretizations dissipate *this* energy,
-        so it is the one to monitor for gradient stability.
+    Evaluated on the 2x2 Gauss rule the schemes are assembled with: the time
+    discretizations dissipate *this* discrete energy, so it is the one to
+    monitor for gradient stability.
     """
     mesh = state.mesh
     law = params.elastic
     dw = params.double_well
-    if quadrature == "exact":
-        phi_qp, grad_qp, eps_qp, w = _fields_at_energy_rule(
-            mesh, state.phi, state.u
-        )
-    elif quadrature == "scheme":
-        phi_e = state.phi[mesh.elements]
-        phi_qp = phi_e @ mesh.shape_vals.T
-        grad_qp = np.tensordot(phi_e, mesh.phys_grads, axes=([1], [1]))
-        eps_qp = grid.strain_at_qp(mesh, state.u)
-        w = mesh.qp_weights
-    else:
-        raise ValueError(f"unknown quadrature {quadrature!r}")
+    phi_e = state.phi[mesh.elements]
+    phi_qp = phi_e @ mesh.shape_vals.T
+    grad_qp = np.tensordot(phi_e, mesh.phys_grads, axes=([1], [1]))
+    eps_qp = grid.strain_at_qp(mesh, state.u)
+    w = mesh.qp_weights
 
     chemical = (params.gamma / params.ell) * np.einsum(
         "q,eq->", w, dw.psi(phi_qp)

@@ -433,38 +433,33 @@ def _free_block(A, free):
 def solve_elasticity_block(ctx, state):
     """Linear elasticity solve at the current phase field.
 
-    The stiffness uses C(phi^{n-1}) for the homogeneous and semi-implicit
-    schemes, factorized once through ``SchemeContext.frozen_operator``: once
-    per step for a heterogeneous law, once per mesh, ``xi`` and ``c_minus``
-    for a homogeneous one. The implicit scheme uses C(phi) at the current
-    iterate, reassembled and factorized every call. Either way the system is
-    solved on the free dofs, and u = 0 on the boundary.
+    The implicit scheme reassembles the stiffness A and the coupling G at
+    C(phi) of the current iterate, and SuperLU factors A every call. The
+    homogeneous and semi-implicit schemes use A and G at C(phi^{n-1}), with
+    the free block of A and its LU built once through
+    ``SchemeContext.frozen_operator``: once per step for a heterogeneous
+    law, once per mesh, ``xi`` and ``c_minus`` for a homogeneous one. Either
+    way the system is solved on the free dofs by ``grid.solve_linear``,
+    which checks the residual, and u = 0 on the boundary.
     Updates state.u in place.
     """
     mesh = ctx.mesh
     law = ctx.params.elastic
     free = mesh.free_u_dofs
-    u = np.zeros(2 * mesh.node_count)
     if ctx.scheme_kind == "implicit":
-        phi_qp = grid.scalar_at_qp(mesh, state.phi)
-        C = law.tensor(phi_qp)
-        A = grid.assemble_vector_elasticity(mesh, C)
+        C = law.tensor(grid.scalar_at_qp(mesh, state.phi))
+        A = _free_block(grid.assemble_vector_elasticity(mesh, C), free)
         vec = law.xi * np.einsum("c,eqcd->eqd", grid.I_VOIGT, C)
         G = grid.assemble_coupling(mesh, vec)
-        rhs = ctx.f_load + G.T @ state.phi
-        u[free] = grid.solve_linear(_free_block(A, free), rhs[free])
-        state.u = u
-        return state
-
-    # homogeneous / semi-implicit: the stiffness is fixed for the whole
-    # step (for the whole run when C is constant), so cache the factorization
-    lu = ctx.frozen_operator(
-        "elast_lu", lambda: spla.splu(_free_block(ctx.elastic_matrix_prev, free))
-    )
-    rhs = ctx.f_load + ctx.coupling_prev.T @ state.phi
-    u[free] = lu.solve(rhs[free])
-    if not np.all(np.isfinite(u)):
-        raise grid.SingularSystemError("elasticity solve produced non-finite values")
+        factor = None
+    else:
+        A = ctx.frozen_operator("A_free", lambda: _free_block(ctx.elastic_matrix_prev, free))
+        lu = ctx.frozen_operator("elast_lu", lambda: spla.splu(A))
+        G = ctx.coupling_prev
+        factor = lambda _: lu.solve
+    rhs = ctx.f_load + G.T @ state.phi
+    u = np.zeros(2 * mesh.node_count)
+    u[free] = grid.solve_linear(A, rhs[free], factor=factor)
     state.u = u
     return state
 

@@ -235,6 +235,14 @@ def test_deterministic_assembly():
     assert (A1 != A2).nnz == 0
 
 
+def test_mesh_operators_built_once():
+    mesh = grid.build_mesh(4)
+    assert mesh.mass is mesh.mass
+    assert mesh.stiffness is mesh.stiffness
+    assert mesh.b_matrices is mesh.b_matrices
+    assert mesh.free_u_dofs is mesh.free_u_dofs
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("kind", ["scalar", "vector", "coupling"])
 def test_pattern_matches_sorted_index_pairs(kind, n):

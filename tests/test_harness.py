@@ -260,6 +260,24 @@ class TestCli:
         harness.write_vtk(want, mesh, harness.initial_state(mesh, config), "initial")
         assert (tmp_path / "o" / "snapshot_initial.vtk").read_text() == want.read_text()
 
+    def test_failed_run_writes_strict_json(self, tmp_path):
+        # A run that fails at step 1 has no average iteration count; run.json
+        # says so with null, since JSON has no NaN.
+        from cahnlarche import cli
+
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(harness.RunConfig(n=8, t_final=2e-5, max_iterations=1).to_text())
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        text = (tmp_path / "o" / "run.json").read_text()
+        meta = json.loads(text, parse_constant=reject)
+        assert meta["failed_at_step"] == 1
+        assert meta["average_iterations"] is None
+
     @pytest.mark.parametrize(
         "flag, value, field",
         [("--n", "1", "n"), ("--depth", "-2", "anderson_depth"), ("--gamma", "0", "gamma")],

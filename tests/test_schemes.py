@@ -1,7 +1,7 @@
 """Residual/Jacobian consistency, energies and step potentials.
 
-Independent oracles: finite-difference Jacobians at random states, a 4x4
-Gauss quadrature evaluation of the free energy, a from-scratch evaluation
+Independent oracles: finite-difference Jacobians at random states, a
+per-element 2x2 Gauss evaluation of the free energy, a from-scratch evaluation
 of the elastic energy derivative, and finite-difference gradients of the
 step potential restricted to mean-zero directions.
 """
@@ -227,6 +227,18 @@ def test_coupling_term_matches_implicit_at_prev():
     assert np.allclose(si, full, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["homogeneous", "semi_implicit"])
+def test_frozen_mu_load_assembled_once(kind, monkeypatch):
+    ctx = make_ctx(grid.build_mesh(4), kind, np.random.Generator(np.random.PCG64(4)))
+    calls, load = [], grid.assemble_scalar_load
+    monkeypatch.setattr(
+        grid, "assemble_scalar_load", lambda *a: calls.append(1) or load(*a)
+    )
+    first = ctx.frozen_mu_load
+    assert ctx.frozen_mu_load is first
+    assert len(calls) == 2  # one for each of its two loads
+
+
 def test_elastic_derivative_independent_oracle():
     # loop-based reimplementation of 0.5 e:C'e - xi I:Ce at a few points
     law = materials.ElasticLaw(xi=0.7)
@@ -254,7 +266,8 @@ class TestFreeEnergy:
         assert e.elastic == 0.0
 
     def test_against_fine_quadrature(self):
-        """Midsplit profile energy vs an independent 4x4 Gauss evaluation."""
+        """Midsplit profile energy vs an independent per-element evaluation
+        on the 2x2 Gauss rule the schemes are assembled with."""
         mesh = grid.build_mesh(8)
         law = materials.ElasticLaw()
         params = materials.ModelParams(elastic=law)
@@ -264,8 +277,8 @@ class TestFreeEnergy:
         state.u = 0.01 * rng.normal(size=2 * mesh.node_count)
         got = schemes.free_energy(state, params)
 
-        # 4x4 tensor Gauss rule on the reference square
-        pts, wts = np.polynomial.legendre.leggauss(4)
+        # 2x2 tensor Gauss rule on the reference square
+        pts, wts = np.polynomial.legendre.leggauss(2)
         pts = 0.5 * (pts + 1)
         wts = 0.5 * wts
         PX, PY = np.meshgrid(pts, pts)

@@ -531,6 +531,33 @@ class TestElasticityBlock:
         solvers.solve_elasticity_block(ctx, s2)
         assert np.array_equal(s1.u, s2.u)
 
+    @pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
+    def test_inaccurate_solve_raises(self, kind, monkeypatch):
+        # Every elasticity solve is residual-checked, the LU held for the
+        # step or the run included: an answer off by one part in a million
+        # is rejected.
+        import scipy.sparse.linalg as spla
+
+        class Perturbed:
+            def __init__(self, lu):
+                self.solve = lambda b: lu.solve(b) * (1.0 + 1e-6)
+
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: Perturbed(splu(*a, **k)))
+        ctx, prev = midsplit_ctx(kind=kind, het=kind != "homogeneous")
+        with pytest.raises(grid.SingularSystemError, match="^relative residual"):
+            solvers.solve_elasticity_block(ctx, prev.copy())
+
+    def test_mesh_cache_keys_name_their_inputs(self):
+        # After a homogeneous step, whose operators and LUs are kept on the
+        # mesh, every entry of the mesh's cache is keyed by a tuple.
+        ctx, prev = midsplit_ctx(kind="homogeneous", het=False)
+        _, rep = solvers.alternating_minimization(ctx, prev, track_potential=True)
+        assert rep.converged
+        keys = list(ctx.mesh._cache)
+        assert ("elast_lu", ctx.params.elastic.xi) in [k[:2] for k in keys]
+        assert all(isinstance(k, tuple) for k in keys), keys
+
 
 class TestAlternatingMinimization:
     def test_converges(self):
