@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
-from .grid import I_VOIGT
+from .grid import GAUSS_1D, I_VOIGT
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +78,12 @@ def _pencil_1d(mesh):
     """Stiffness and mass (K1, M1) of the 1-D Q1 factor of the mesh.
 
     The mesh is a uniform tensor grid and its quadrature the tensor square
-    of an ``order``-point Gauss rule, so with the 1-D matrices assembled on
-    the same 1-D rule M = M1 (x) M1 and K = K1 (x) M1 + M1 (x) K1 exactly.
+    of the 1-D rule ``grid.GAUSS_1D``, so with the 1-D matrices assembled
+    on that rule M = M1 (x) M1 and K = K1 (x) M1 + M1 (x) K1 exactly.
     Dense, (n+1) x (n+1).
     """
     n, h = mesh.n_per_side, mesh.h
-    order = int(round(np.sqrt(mesh.quadrature.weights.size)))
-    x, w = np.polynomial.legendre.leggauss(order)
-    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x, w = GAUSS_1D
     N = np.stack([1.0 - x, x], axis=1)
     dN = np.array([-1.0, 1.0])
     out = []

@@ -2,8 +2,8 @@
 
 Provides the mesh, quadrature, assembly primitives (scalar mass/stiffness,
 vector elasticity, scalar-vector coupling, load vectors) on sparsity patterns
-fixed per mesh, the pattern of the saddle-form Newton matrices in a
-nested-dissection order of the grid, symmetric Dirichlet elimination and
+fixed per mesh, the saddle form of the Newton matrices in a nested-dissection
+order of the grid (``SaddlePattern``), symmetric Dirichlet elimination and
 sparse direct solves. All elements are axis-aligned squares of side
 h = 1/n, with bilinear shape functions on the reference square [0,1]^2 and
 counterclockwise node ordering.
@@ -37,11 +37,18 @@ class QuadratureRule:
     weights: np.ndarray  # (nq,)
 
 
-def gauss_rule(order=2):
-    """Tensor-product Gauss rule on [0,1]^2. order=2 is exact for Q1 x Q1."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
+def _gauss_1d():
+    x, w = np.polynomial.legendre.leggauss(2)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+# The 2-point Gauss rule on [0, 1], (points, weights); exact for cubics.
+GAUSS_1D = _gauss_1d()
+
+
+def gauss_rule():
+    """Tensor square of ``GAUSS_1D`` on [0,1]^2; exact for Q1 x Q1."""
+    x, w = GAUSS_1D
     pts = np.array([(a, b) for b in x for a in x])
     wts = np.array([wa * wb for wb in w for wa in w])
     return QuadratureRule(points=pts, weights=wts)
@@ -73,33 +80,6 @@ def strain_displacement(grads):
     return B
 
 
-def _compressed(major, minor, shape):
-    """Compressed pattern of the index pairs (major[k], minor[k]).
-
-    Returns (indptr, indices, slots): each distinct pair is one entry, sorted
-    by major then minor index, and pair k lands in entry ``slots[k]``.
-    Index arrays are read-only, because every matrix on the pattern shares
-    them.
-    """
-    key = np.ravel(major).astype(np.int64) * shape[1]  # no int32 overflow
-    key += np.ravel(minor)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.ones(key.size, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    rank = np.cumsum(first)
-    rank -= 1
-    slots = np.empty_like(rank)
-    slots[order] = rank
-    del order, rank  # freed early: they set the peak memory of the build
-    key = key[first]
-    counts = np.bincount(key // shape[1], minlength=shape[0])
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-    indices = (key % shape[1]).astype(np.int32)
-    indptr.flags.writeable = indices.flags.writeable = False
-    return indptr, indices, slots
-
-
 @dataclass(frozen=True)
 class Pattern:
     """Fixed CSR pattern of an assembled operator.
@@ -114,11 +94,6 @@ class Pattern:
     indptr: np.ndarray
     indices: np.ndarray
     slots: np.ndarray
-
-    @property
-    def rows(self):
-        """Row index of every entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
     def assemble(self, elem_mats):
         data = np.bincount(
@@ -202,15 +177,16 @@ def nested_dissection(n):
 
 @dataclass(frozen=True)
 class SaddlePattern:
-    """CSC pattern of a Newton matrix in saddle form, fixed by the mesh.
+    """The saddle form S of a Newton matrix J, fixed by the mesh.
 
-    Column k is the unknown with index ``order[k]`` in the (phi, mu, u)
-    layout, with u on the free (interior) dofs only; row k is the equation
-    paired with it: mu's with phi, phi's with mu, u's with u. The caller
-    scales the rows (mu, tau * phi, -u) (``schemes.jacobian``). Each node's
-    unknowns (phi, mu, then its free u dofs) are adjacent, and the nodes
-    come in ``nested_dissection`` order, so SuperLU factors the matrix as it
-    is ordered. The blocks, named by equation and unknown, are
+    S's column k is the unknown with index ``order[k]`` in J's (phi, mu, u)
+    layout, with u on the free (interior) dofs only; its row k is J's
+    equation paired with that unknown, scaled: mu's with phi, tau * phi's
+    with mu, -u's with u. Each step is the stationarity system of a step
+    potential, so S is symmetric. Each node's unknowns (phi, mu, then its
+    free u dofs) are adjacent, and the nodes come in ``nested_dissection``
+    order, so SuperLU factors S, held in CSC, as it is ordered. The blocks,
+    named by equation and unknown, are
 
         mu_phi   mu_mu    mu_u
         phi_phi  phi_mu   .
@@ -218,9 +194,9 @@ class SaddlePattern:
 
     ``slots[name]`` holds, for every entry of the block's source pattern
     (``Mesh.pattern`` "scalar" for the four (phi, mu) blocks, "coupling" for
-    ``mu_u`` and ``u_phi``, "vector" for ``u_u``), its entry in ``data``;
-    entries on a constrained dof go to the spare entry ``nnz``. The (phi,
-    mu) block alone has the first four blocks.
+    ``mu_u`` and, transposed, ``u_phi``, "vector" for ``u_u``), its entry in
+    S's data; entries on a constrained dof go to the spare entry ``nnz``.
+    The (phi, mu) block alone has the first four blocks.
     """
 
     shape: tuple
@@ -228,9 +204,12 @@ class SaddlePattern:
     indices: np.ndarray
     slots: dict
     order: np.ndarray
+    nodes: int
 
     @classmethod
     def of(cls, mesh, full):
+        """The full system's pattern or, without ``full``, the (phi, mu)
+        block's, laid out by ``sp.bmat`` and ordered by scipy's indexing."""
         nn = mesh.node_count
         rank = np.empty(nn, dtype=np.int64)
         rank[nested_dissection(mesh.n_per_side)] = np.arange(nn)
@@ -240,40 +219,50 @@ class SaddlePattern:
         node = np.where(order < 2 * nn, order % nn, (order - 2 * nn) // 2)
         order = order[np.lexsort((order, rank[node]))]
         order.flags.writeable = False
-        size = order.size
-        pos = np.full(4 * nn if full else 2 * nn, -1)  # -1: a constrained u dof
-        pos[order] = np.arange(size)
-        s = mesh.pattern("scalar")
-        i, j = s.rows, s.indices
-        # (rows, columns) of each block: the equation of mu (phi) of a node
-        # takes the place of that node's phi (mu) unknown
-        blocks = {
-            "mu_phi": (pos[i], pos[j]), "mu_mu": (pos[i], pos[nn + j]),
-            "phi_phi": (pos[nn + i], pos[j]), "phi_mu": (pos[nn + i], pos[nn + j]),
-        }
+        kinds = dict.fromkeys(("mu_phi", "mu_mu", "phi_phi", "phi_mu"), "scalar")
         if full:
-            c, v = mesh.pattern("coupling"), mesh.pattern("vector")
-            u = pos[2 * nn :]
-            blocks["mu_u"] = (pos[c.rows], u[c.indices])
-            blocks["u_phi"] = (u[c.indices], pos[c.rows])
-            blocks["u_u"] = (u[v.rows], u[v.indices])
-        names, sizes = list(blocks), [r.size for r, _ in blocks.values()]
-        rows = np.concatenate([r for r, _ in blocks.values()], dtype=np.int32)
-        cols = np.concatenate([c for _, c in blocks.values()], dtype=np.int32)
-        del blocks, i, j
-        # entries on a constrained dof all become one entry past the last column
-        dropped = (rows < 0) | (cols < 0)
-        cols[dropped], rows[dropped] = size, 0
-        indptr, indices, slots = _compressed(cols, rows, (size + 1, size))
-        slots = dict(zip(names, np.split(slots, np.cumsum(sizes)[:-1])))
-        return cls((size, size), indptr[:-1], indices[: indptr[size]], slots, order)
+            kinds.update(mu_u="coupling", u_phi="coupling", u_u="vector")
+        ids, start = {}, 1  # every source entry numbered, none zero
+        for name, kind in kinds.items():
+            p = mesh.pattern(kind)
+            number = np.arange(start, start + p.indices.size, dtype=float)
+            ids[name] = sp.csr_matrix((number, p.indices, p.indptr), shape=p.shape)
+            start += p.indices.size
+        # rows (mu; phi; u): the equation of mu (phi) of a node takes the
+        # place of that node's phi (mu) unknown
+        B = [[ids["mu_phi"], ids["mu_mu"]], [ids["phi_phi"], ids["phi_mu"]]]
+        if full:
+            B = [B[0] + [ids["mu_u"]], B[1] + [None], [ids["u_phi"].T, None, ids["u_u"]]]
+        S = sp.bmat(B, format="csr")[order][:, order].tocsc()
+        S.sort_indices()
+        slot = np.full(start, S.nnz)  # numbers dropped with a constrained dof
+        slot[S.data.astype(np.int64)] = np.arange(S.nnz)
+        ends = np.cumsum([ids[name].nnz for name in kinds])[:-1]
+        slots = dict(zip(kinds, np.split(slot[1:], ends)))
+        S.indptr.flags.writeable = S.indices.flags.writeable = False
+        return cls(S.shape, S.indptr, S.indices, slots, order, nn)
 
-    def matrix(self, blocks):
-        """The saddle matrix with data ``blocks[name]`` in block ``name``."""
+    def matrix(self, blocks, tau):
+        """S, from the data ``blocks[name]`` of J's block ``name`` in J's own
+        rows: the phi rows are scaled by ``tau``, the u rows by -1."""
+        scale = {"phi_phi": tau, "phi_mu": tau, "u_phi": -1.0, "u_u": -1.0}
         data = np.empty(self.indices.size + 1)
         for name, values in blocks.items():
-            data[self.slots[name]] = values
+            data[self.slots[name]] = scale[name] * values if name in scale else values
         return sp.csc_matrix((data[:-1], self.indices, self.indptr), shape=self.shape)
+
+    def rows(self, b, tau):
+        """A vector ``b`` in J's (phi, mu[, u]) rows, in S's rows: paired
+        with the unknowns of ``order`` and scaled as in ``matrix``."""
+        nn = self.nodes
+        return np.concatenate([b[nn : 2 * nn], tau * b[:nn], -b[2 * nn :]])[self.order]
+
+    def unknowns(self, x, size):
+        """An unknown ``x`` in S's order, in the (phi, mu[, u]) layout of
+        ``size`` entries, zero on the constrained dofs."""
+        out = np.zeros(size)
+        out[self.order] = x
+        return out
 
 
 @dataclass(frozen=True)
@@ -399,7 +388,7 @@ def build_mesh(n_per_side):
         nodes=nodes,
         elements=elements,
         boundary_nodes=boundary,
-        quadrature=gauss_rule(2),
+        quadrature=gauss_rule(),
     )
 
 

@@ -11,6 +11,7 @@ import configparser
 import csv
 import io
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass, field, fields, asdict, replace
@@ -69,9 +70,14 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             setattr(self, name, int(value))  # a numpy integer becomes an int
+        for name in (f.name for f in fields(self) if f.type is float):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         for name, ok, need in (
             ("n", self.n >= 2, ">= 2"),
             ("tau", self.tau > 0, "> 0"),
+            ("t_final", self.t_final > 0, "> 0"),
             ("tolerance", self.tolerance > 0, "> 0"),
             ("anderson_depth", self.anderson_depth >= 0, ">= 0"),
             ("max_iterations", self.max_iterations >= 1, ">= 1"),
@@ -147,7 +153,6 @@ class RunConfig:
             gamma=self.gamma,
             ell=self.ell,
             tau=self.tau,
-            t_final=self.t_final,
             theta=self.theta,
             elastic=law,
         )

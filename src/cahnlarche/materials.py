@@ -196,12 +196,11 @@ class ModelParams:
     gamma: float = 5.0
     ell: float = 0.02
     tau: float = 1e-5
-    t_final: float = 0.01
     theta: float = 2.0
     elastic: ElasticLaw = field(default_factory=ElasticLaw)
 
     def __post_init__(self):
-        for name in ("m", "gamma", "ell", "tau", "t_final"):
+        for name in ("m", "gamma", "ell", "tau"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.theta <= 1.0:

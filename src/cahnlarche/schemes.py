@@ -358,12 +358,12 @@ def _jacobian_qp(state, ctx):
 
 
 def _phase_field_blocks(ctx, phi_qp, e, C, Cp):
-    """Data of the (mu, phi) rows of the saddle matrix, on the scalar pattern.
+    """Data of d(r_mu, r_phi) / d(phi, mu), on the scalar pattern.
 
-    The mu rows are d r_mu / d(phi, mu); the phi rows are tau d r_phi /
-    d(phi, mu), which makes the block symmetric. Terms are combined after
-    assembly and in the order written, tau (M / tau) included: another order
-    changes the round-off of every Newton step.
+    ``grid.SaddlePattern.matrix`` scales the phi rows by tau, which makes
+    the block symmetric. Terms are combined after assembly and in the order
+    written, M * (1 / tau) included: another order changes the round-off of
+    every Newton step.
     """
     params = ctx.params
     law = params.elastic
@@ -384,15 +384,15 @@ def _phase_field_blocks(ctx, phi_qp, e, C, Cp):
     return {
         "mu_phi": mu_phi,
         "mu_mu": M,
-        "phi_phi": params.tau * (M * (1 / params.tau)),
-        "phi_mu": params.tau * (params.m * K),
+        "phi_phi": M * (1 / params.tau),
+        "phi_mu": params.m * K,
     }
 
 
 def _jacobian_blocks(state, ctx):
-    """Data of the blocks of ``jacobian``, each on its source pattern
-    (``grid.SaddlePattern``). The coupling and u blocks span every u dof,
-    the constrained ones included."""
+    """Data of the blocks of ``residual``'s derivative J, in J's own rows,
+    each on its source pattern (``grid.SaddlePattern``). The coupling and u
+    blocks span every u dof, the constrained ones included."""
     mesh = ctx.mesh
     law = ctx.params.elastic
     phi_qp, e, C, Cp = _jacobian_qp(state, ctx)
@@ -407,7 +407,7 @@ def _jacobian_blocks(state, ctx):
         G = ctx.coupling_prev.data
         A = ctx.elastic_matrix_prev.data
     blocks = _phase_field_blocks(ctx, phi_qp, e, C, Cp)
-    blocks.update(mu_u=G, u_phi=G, u_u=-A)
+    blocks.update(mu_u=G, u_phi=-G, u_u=A)
     return blocks
 
 
@@ -417,10 +417,12 @@ def jacobian(state, ctx):
     The rows are the (mu, tau phi, -u) rows of the derivative and the
     columns (phi, mu, u), with u on the free dofs only (the Dirichlet rows
     and columns are dropped). Each step is the stationarity system of a
-    step potential, so this matrix is symmetric. Its pattern is fixed by
-    the mesh (``grid.SaddlePattern``); only the data is computed here.
+    step potential, so this matrix is symmetric. Its pattern, order and row
+    scales are fixed by the mesh (``grid.SaddlePattern``); only the data is
+    computed here.
     """
-    return ctx.mesh.saddle_pattern(full=True).matrix(_jacobian_blocks(state, ctx))
+    pattern = ctx.mesh.saddle_pattern(full=True)
+    return pattern.matrix(_jacobian_blocks(state, ctx), ctx.params.tau)
 
 
 def ch_residual(state, ctx):
@@ -443,7 +445,7 @@ def ch_residual(state, ctx):
 def ch_jacobian(state, ctx):
     """(phi, mu) block of ``jacobian`` at frozen displacement, in saddle form."""
     blocks = _phase_field_blocks(ctx, *_jacobian_qp(state, ctx))
-    return ctx.mesh.saddle_pattern(full=False).matrix(blocks)
+    return ctx.mesh.saddle_pattern(full=False).matrix(blocks, ctx.params.tau)
 
 
 # ---------------------------------------------------------------------------

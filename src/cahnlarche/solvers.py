@@ -19,9 +19,9 @@ exception.
 
 Every Newton matrix (monolithic, phase-field block, chord) arrives from
 ``schemes`` in its symmetric saddle-point form on the free dofs, already in
-a nested-dissection order fixed by the mesh (``grid.SaddlePattern``), and
-is factored in that order; ``_saddle_rows`` and ``_layout`` map vectors
-between the (phi, mu, u) layout and the saddle order.
+a nested-dissection order fixed by the mesh, and is factored in that
+order; the mesh's ``grid.SaddlePattern`` maps right-hand sides (``rows``)
+and solutions (``unknowns``) between the (phi, mu, u) layout and that form.
 
 The exact Newton solves (monolithic, and the phase-field block without the
 chord) reuse a lagged LU (``LaggedLU``): the latest saddle LU preconditions
@@ -166,26 +166,6 @@ def _iterate(state, residual, step, stopping, max_iter, exhausted, r=None):
 _SADDLE_PIVOT_THRESHOLD = 1e-3
 
 
-def _saddle_rows(mesh, tau, b):
-    """A (phi, mu[, u]) vector in the saddle matrix's row order.
-
-    Row k is the equation paired with the unknown ``order[k]`` of the
-    mesh's ``grid.SaddlePattern``, scaled as in ``schemes.jacobian``: mu's
-    with phi, tau * phi's with mu and -u's with u.
-    """
-    nn = mesh.node_count
-    paired = np.concatenate([b[nn : 2 * nn], tau * b[:nn], -b[2 * nn :]])
-    return paired[mesh.saddle_pattern(b.size > 2 * nn).order]
-
-
-def _layout(mesh, x, size):
-    """A saddle-order unknown in the (phi, mu[, u]) layout of ``size``
-    entries, with zero increments on the constrained dofs."""
-    out = np.zeros(size)
-    out[mesh.saddle_pattern(size > 2 * mesh.node_count).order] = x
-    return out
-
-
 def _factor_saddle(S):
     """SuperLU of the symmetric saddle matrix ``S``; returns its solve.
 
@@ -309,22 +289,22 @@ def _newton_solve(S, r, ctx, lagged=None):
     The residual check is made in J's own rows, |J dx + r| <= tol |r| with
     tol = ``grid.RESIDUAL_TOL``: S only scales and permutes J's rows and
     columns, and r is zero on the constrained dofs that S drops. The row
-    scales are the saddle rows of a vector of ones. With the ``LaggedLU``
-    ``lagged`` holding an LU of S's size, GMRES preconditioned by it is
-    tried first; S is factored only if its iterate fails the check.
+    scales are the ``grid.SaddlePattern.rows`` of a vector of ones. With the
+    ``LaggedLU`` ``lagged`` holding an LU of S's size, GMRES preconditioned
+    by it is tried first; S is factored only if its iterate fails the check.
     """
-    mesh, tau = ctx.mesh, ctx.params.tau
+    pattern = ctx.mesh.saddle_pattern(r.size > 2 * ctx.mesh.node_count)
     lagged = LaggedLU() if lagged is None else lagged
-    b = _saddle_rows(mesh, tau, -r)
-    d = _saddle_rows(mesh, tau, np.ones(r.size))
+    b = pattern.rows(-r, ctx.params.tau)
+    d = pattern.rows(np.ones(r.size), ctx.params.tau)
     if lagged.holds_for(S):
         try:
             x = grid.solve_linear(S, b, factor=lagged.krylov(d), row_scale=d)
-            return _layout(mesh, x, r.size)
+            return pattern.unknowns(x, r.size)
         except grid.SingularSystemError:
             pass
     x = grid.solve_linear(S, b, factor=lagged.factor, row_scale=d)
-    return _layout(mesh, x, r.size)
+    return pattern.unknowns(x, r.size)
 
 
 def _linear_solve(solve, *args):
@@ -386,8 +366,9 @@ def _chord_solve(ctx, b):
     """
     if "ch_chord_lu" not in ctx._cache:
         ctx._cache["ch_chord_lu"] = _factor_saddle(_ch_jacobian(ctx.prev.copy(), ctx))
-    x = ctx._cache["ch_chord_lu"](_saddle_rows(ctx.mesh, ctx.params.tau, b))
-    return _layout(ctx.mesh, x, b.size)
+    pattern = ctx.mesh.saddle_pattern(full=False)
+    x = ctx._cache["ch_chord_lu"](pattern.rows(b, ctx.params.tau))
+    return pattern.unknowns(x, b.size)
 
 
 def newton_ch_block(ctx, state, *, r, stopping=None, max_iter=50, chord=False,

@@ -30,8 +30,10 @@ def test_workload_passes_the_gate(tmp_path, name):
 
 
 @pytest.mark.xfail(strict=True, reason="undamped Newton, ROADMAP item 1")
-def test_spinodal_seed_1503_passes_the_gate(tmp_path):
-    # Undamped Newton takes 5.4167 iterations per step from this seed's
-    # random data, outside the widened band of the recorded seeds.
-    failed, notes = gate_failures(tmp_path, "spinodal-newton-n32", 1503)
+@pytest.mark.parametrize("seed", [1503, 2204])
+def test_spinodal_seed_passes_the_gate(tmp_path, seed):
+    # Undamped Newton takes 5.4167 (seed 1503) and 5.3333 (seed 2204)
+    # iterations per step from these seeds' random data, outside the
+    # widened band of the recorded seeds.
+    failed, notes = gate_failures(tmp_path, "spinodal-newton-n32", seed)
     assert not failed, notes

@@ -48,7 +48,7 @@ def test_boundary_nodes():
 
 def test_quadrature_integrates_cubics():
     # 2x2 Gauss on [0,1]^2 is exact for polynomials of degree <= 3 per axis
-    rule = grid.gauss_rule(2)
+    rule = grid.gauss_rule()
     assert rule.points.shape == (4, 2)
     assert rule.weights.sum() == pytest.approx(1.0)
     for px in range(4):
@@ -61,7 +61,7 @@ def test_quadrature_integrates_cubics():
 
 
 def test_shape_functions_partition_of_unity():
-    rule = grid.gauss_rule(2)
+    rule = grid.gauss_rule()
     vals = grid.shape_values(rule.points)
     grads = grid.shape_gradients(rule.points)
     assert np.allclose(vals.sum(axis=1), 1.0)
@@ -255,26 +255,17 @@ def test_pattern_matches_sorted_index_pairs(kind, n):
         "coupling": (mesh.elements, mesh.u_dofs),
     }[kind]
     shape = (rows.max() + 1, cols.max() + 1)
-    want = grid._compressed(
-        np.repeat(rows, cols.shape[1], axis=1), np.tile(cols, (1, rows.shape[1])), shape
-    )
+    major = np.repeat(rows, cols.shape[1], axis=1).ravel().astype(np.int64)
+    minor = np.tile(cols, (1, rows.shape[1])).ravel()
+    keys, slots = np.unique(major * shape[1] + minor, return_inverse=True)
+    counts = np.bincount(keys // shape[1], minlength=shape[0])
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    want = indptr, (keys % shape[1]).astype(np.int32), slots
     got = mesh.pattern(kind)
     assert got.shape == shape
     for name, w in zip(("indptr", "indices", "slots"), want):
         g = getattr(got, name)
         assert g.dtype == w.dtype and np.array_equal(g, w), name
-
-
-def test_compressed_pattern_int32_indices_past_2_31():
-    # major * n_minor + minor exceeds 2**31 for the last row; int32 index
-    # arrays must not wrap around in the sort key
-    size = 50_000
-    major = np.array([size - 1, 0, size - 1, 3], dtype=np.int32)
-    minor = np.array([size - 2, 1, size - 2, size - 1], dtype=np.int32)
-    indptr, indices, slots = grid._compressed(major, minor, (size, size))
-    assert indices.tolist() == [1, size - 1, size - 2]
-    assert slots.tolist() == [2, 0, 2, 1]
-    assert indptr[[0, 1, 3, 4, size - 1, size]].tolist() == [0, 1, 1, 2, 2, 3]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 32])
@@ -301,6 +292,67 @@ def test_saddle_order_is_a_permutation_of_the_unknowns(n, full):
     starts = np.flatnonzero(np.diff(node, prepend=-1))
     assert np.array_equal(node[starts], grid.nested_dissection(n))
     assert np.array_equal(p.order[starts], node[starts])
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_saddle_pattern_matches_sorted_pairs(n, full):
+    # scipy lays out and orders the saddle pattern; the reference places
+    # every block entry at its (column, row) in S by the pattern's order and
+    # sorts those pairs
+    mesh = grid.build_mesh(n)
+    nn = mesh.node_count
+    p = mesh.saddle_pattern(full)
+    size = p.shape[0]
+    pos = np.full(4 * nn if full else 2 * nn, size)  # size: a constrained dof
+    pos[p.order] = np.arange(size)
+
+    def entries(kind):
+        q = mesh.pattern(kind)
+        return np.repeat(np.arange(q.shape[0]), np.diff(q.indptr)), q.indices
+
+    # the equation of mu (phi) of a node takes the place of its phi (mu)
+    i, j = entries("scalar")
+    blocks = {
+        "mu_phi": (pos[i], pos[j]), "mu_mu": (pos[i], pos[nn + j]),
+        "phi_phi": (pos[nn + i], pos[j]), "phi_mu": (pos[nn + i], pos[nn + j]),
+    }
+    if full:
+        (ci, cj), (vi, vj), u = entries("coupling"), entries("vector"), pos[2 * nn :]
+        blocks.update(
+            mu_u=(pos[ci], u[cj]), u_phi=(u[cj], pos[ci]), u_u=(u[vi], u[vj])
+        )
+    assert list(p.slots) == list(blocks)
+    rows = np.concatenate([r for r, _ in blocks.values()])
+    cols = np.concatenate([c for _, c in blocks.values()])
+    kept = (rows < size) & (cols < size)
+    keys, inverse = np.unique(cols[kept] * size + rows[kept], return_inverse=True)
+    slots = np.full(rows.size, keys.size)  # the spare entry nnz
+    slots[kept] = inverse
+    counts = np.bincount(keys // size, minlength=size)
+    assert np.array_equal(p.indptr, np.concatenate([[0], np.cumsum(counts)]))
+    assert np.array_equal(p.indices, keys % size)
+    assert np.array_equal(np.concatenate(list(p.slots.values())), slots)
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_saddle_vector_maps(full):
+    # rows() pairs and scales J's rows as in the saddle matrix; unknowns()
+    # undoes the column order, with zeros on the constrained dofs
+    from tests.test_schemes import make_ctx, saddle_order
+
+    mesh = grid.build_mesh(5)
+    rng = np.random.Generator(np.random.PCG64(0))
+    ctx = make_ctx(mesh, "semi_implicit", rng)
+    size = (4 if full else 2) * mesh.node_count
+    rows, cols, scale = saddle_order(ctx, size)
+    p = mesh.saddle_pattern(full)
+    b = rng.normal(size=size)
+    assert np.array_equal(p.rows(b, ctx.params.tau), scale * b[rows])
+    x = rng.normal(size=p.shape[0])
+    got = p.unknowns(x, size)
+    assert np.array_equal(got[cols], x)
+    assert not np.delete(got, cols).any()
 
 
 def test_saddle_lu_fill_below_minimum_degree():

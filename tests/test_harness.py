@@ -37,7 +37,11 @@ class TestRunConfig:
          ("max_iterations", 0), ("snapshot_every", -3), ("seed", -1),
          # integer fields take integers only, never rounded
          ("n", 8.5), ("n", 8.0), ("n", True), ("anderson_depth", 1.5),
-         ("max_iterations", 2.5), ("seed", 0.5), ("snapshot_every", False)],
+         ("max_iterations", 2.5), ("seed", 0.5), ("snapshot_every", False),
+         ("t_final", 0.0),
+         # float fields take finite values only
+         ("tolerance", np.inf), ("gamma", np.inf), ("tau", np.inf), ("ell", np.inf),
+         ("t_final", np.nan), ("m", np.nan), ("xi", np.nan), ("theta", np.nan)],
     )
     def test_rejects_invalid_field(self, field, value):
         with pytest.raises(harness.ConfigError, match=f"^{field} must be"):
@@ -289,6 +293,14 @@ class TestCli:
             cli.main(["constants", flag, value])
         assert exc.value.code == 2
         assert f"{field} must be" in capsys.readouterr().err
+
+    def test_non_finite_flag_is_a_usage_error(self, capsys):
+        from cahnlarche import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--gamma", "inf"])
+        assert exc.value.code == 2
+        assert "gamma must be finite, got inf" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section, line",

@@ -93,7 +93,7 @@ def expand_saddle(state, ctx):
     c = 2 * ctx.mesh.node_count + ctx.mesh.constrained_u_dofs
     free = np.setdiff1d(np.arange(2 * nn, 4 * nn), c)
     J[nn : 2 * nn, c] = on_pattern(blocks["mu_u"], "coupling")[:, c - 2 * nn]
-    J[np.ix_(free, c)] = -on_pattern(blocks["u_u"], "vector")[
+    J[np.ix_(free, c)] = on_pattern(blocks["u_u"], "vector")[
         np.ix_(free - 2 * nn, c - 2 * nn)
     ]
     J[c, c] = 1.0
