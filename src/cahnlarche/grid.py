@@ -4,7 +4,11 @@ Provides the mesh, quadrature, assembly primitives (scalar mass/stiffness,
 vector elasticity, scalar-vector coupling, load vectors) on sparsity patterns
 fixed per mesh, the saddle form of the Newton matrices in a nested-dissection
 order of the grid (``SaddlePattern``), symmetric Dirichlet elimination and
-sparse direct solves. All elements are axis-aligned squares of side
+sparse direct solves. The elasticity of C(phi) = C_minus + pi(phi) Delta C
+is assembled from the weights pi at the quadrature points alone: one
+product with the per-point element matrices of Delta C, built once per mesh
+(``Mesh.elasticity_basis``); the coupling likewise from per-point Voigt
+rows (``Mesh.coupling_basis``). All elements are axis-aligned squares of side
 h = 1/n, with bilinear shape functions on the reference square [0,1]^2 and
 counterclockwise node ordering.
 """
@@ -205,6 +209,8 @@ class SaddlePattern:
     slots: dict
     order: np.ndarray
     nodes: int
+    # row scales per tau (``row_scales``)
+    _scales: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def of(cls, mesh, full):
@@ -256,6 +262,16 @@ class SaddlePattern:
         with the unknowns of ``order`` and scaled as in ``matrix``."""
         nn = self.nodes
         return np.concatenate([b[nn : 2 * nn], tau * b[:nn], -b[2 * nn :]])[self.order]
+
+    def row_scales(self, tau):
+        """The scales of S's rows, the ``rows`` of a vector of ones: 1 for
+        mu's equations, ``tau`` for phi's, -1 for u's; kept per ``tau``."""
+        if tau not in self._scales:
+            nn, k = self.nodes, self.order
+            d = np.select([k < nn, k < 2 * nn], [1.0, tau], -1.0)
+            d.flags.writeable = False
+            self._scales[tau] = d
+        return self._scales[tau]
 
     def unknowns(self, x, size):
         """An unknown ``x`` in S's order, in the (phi, mu[, u]) layout of
@@ -315,6 +331,25 @@ class Mesh:
     def b_matrices(self):
         """Strain-displacement matrices, (nq, 3, 8), engineering shear."""
         return strain_displacement(self.phys_grads)
+
+    def elasticity_basis(self, C):
+        """Row q is the element matrix w_q B_q^T C B_q of the constant Voigt
+        tensor C at quadrature point q, (nq, 64); built once per C."""
+        C = np.asarray(C, dtype=float)
+        key = ("elasticity_basis", C.tobytes())
+        if key not in self._cache:
+            B = self.b_matrices
+            basis = np.einsum("q,qca,cd,qdb->qab", self.qp_weights, B, C, B)
+            self._cache[key] = basis.reshape(B.shape[0], -1)
+        return self._cache[key]
+
+    @cached_property
+    def coupling_basis(self):
+        """Row (q, c) holds w_q p_i (B_q)_ca at (i, a), (3 nq, 32): a
+        per-point Voigt row v gives the coupling element matrix v @ basis."""
+        B = self.b_matrices
+        basis = np.einsum("q,qi,qca->qcia", self.qp_weights, self.shape_vals, B)
+        return basis.reshape(3 * B.shape[0], -1)
 
     @property
     def constrained_u_dofs(self):
@@ -440,23 +475,24 @@ def assemble_stiffness(mesh):
     return mesh.pattern("scalar").assemble(mats)
 
 
-def assemble_vector_elasticity(mesh, voigt_field):
+def assemble_vector_elasticity(mesh, c, pi_qp=None, delta=None):
     """Elasticity stiffness int (C eps(u)) : eps(v) dx on interleaved u dofs.
 
-    voigt_field is a (3,3) constant or a per-quadrature (n_elem, nq, 3, 3)
-    array of Voigt stiffness tensors, symmetric positive definite: C(phi) of
-    an ``ElasticLaw``, a convex combination of its two checked tensors.
+    C is the constant (3,3) Voigt tensor ``c`` or, given the per-quadrature
+    weights ``pi_qp`` (n_elem, nq), C = c + pi_qp delta at each point: C(phi)
+    of an ``ElasticLaw`` with c = C_minus, delta = Delta C. Each element
+    matrix is then c's plus pi_qp @ ``Mesh.elasticity_basis(delta)``, one
+    (n_elem, nq) @ (nq, 64) product for all elements. C must be symmetric
+    positive definite, as every C(phi) of an ``ElasticLaw`` is.
     """
-    C = np.asarray(voigt_field, dtype=float)
+    C = np.asarray(c, dtype=float)
     B = mesh.b_matrices
-    w = mesh.qp_weights
-    if C.ndim == 2:
-        elem = np.einsum("q,qca,cd,qdb->ab", w, B, C, B)
+    elem = np.einsum("q,qca,cd,qdb->ab", mesh.qp_weights, B, C, B)
+    if pi_qp is None:
         mats = np.broadcast_to(elem, (mesh.element_count, 8, 8))
     else:
-        # sum over (q, c) of (w_q B_q)^T (C_eq B_q), as one matmul per element
-        CB = (C @ B).reshape(C.shape[0], -1, B.shape[2])
-        mats = (w[:, None, None] * B).reshape(-1, B.shape[2]).T @ CB
+        mats = pi_qp @ mesh.elasticity_basis(delta)
+        mats += elem.ravel()
     return mesh.pattern("vector").assemble(mats)
 
 
@@ -465,18 +501,16 @@ def assemble_coupling(mesh, voigt_vec_qp):
 
     voigt_vec_qp is a per-quadrature Voigt row vector, shape (n_elem, nq, 3)
     or constant (3,). Maps u dofs (columns) to scalar test functions (rows).
+    Per quadrature point, the element matrices are one (n_elem, 3 nq) @
+    (3 nq, 32) product with ``Mesh.coupling_basis``.
     """
     v = np.asarray(voigt_vec_qp, dtype=float)
-    N = mesh.shape_vals
-    B = mesh.b_matrices
-    w = mesh.qp_weights
     if v.ndim == 1:
-        elem = np.einsum("q,qi,c,qca->ia", w, N, v, B)
+        N, B = mesh.shape_vals, mesh.b_matrices
+        elem = np.einsum("q,qi,c,qca->ia", mesh.qp_weights, N, v, B)
         mats = np.broadcast_to(elem, (mesh.element_count, 4, 8))
     else:
-        # sum over q of (w_q N_q)^T (v_eq B_q)
-        vB = (v[:, :, None, :] @ B)[:, :, 0, :]
-        mats = (w[:, None] * N).T @ vB
+        mats = v.reshape(v.shape[0], -1) @ mesh.coupling_basis
     return mesh.pattern("coupling").assemble(mats)
 
 
@@ -490,13 +524,10 @@ def assemble_scalar_load(mesh, values_qp):
 
 def assemble_vector_load(mesh, values_qp):
     """Load vector int f . v dx from per-quadrature (n_elem, nq, 2) values."""
-    N = mesh.shape_vals
-    mats = np.zeros((mesh.element_count, 8))
-    mats[:, 0::2] = np.einsum("q,eq,qi->ei", mesh.qp_weights, values_qp[:, :, 0], N)
-    mats[:, 1::2] = np.einsum("q,eq,qi->ei", mesh.qp_weights, values_qp[:, :, 1], N)
-    out = np.zeros(2 * mesh.node_count)
-    np.add.at(out, mesh.u_dofs.ravel(), mats.ravel())
-    return out
+    mats = np.einsum("q,eqd,qi->eid", mesh.qp_weights, values_qp, mesh.shape_vals)
+    return np.bincount(
+        mesh.u_dofs.ravel(), weights=mats.ravel(), minlength=2 * mesh.node_count
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,12 @@
 The modified double-well potential with its convex-concave split, the cubic
 C^1 interpolation between the two pure-phase stiffness tensors, the
 phase-field dependent elasticity tensor and the swelling stress law.
+
+C(phi) = C_minus + pi(phi) Delta C with Delta C = C_plus - C_minus, so C and
+its derivatives are a scalar per point times a fixed tensor. The schemes
+use that: they evaluate ``ElasticLaw.weight`` (pi, pi', pi'') at the
+quadrature points and combine it with the fixed tensors (``swelling_row``,
+``grid.assemble_vector_elasticity``), never forming a 3x3 tensor per point.
 """
 
 from dataclasses import dataclass, field
@@ -154,18 +160,29 @@ class ElasticLaw:
         return self.c_minus + w[..., None, None] * self.delta
 
     def tensor_prime(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        if not self.heterogeneous:
-            return np.zeros(phi.shape + (3, 3))
-        w = pi_interp_prime(phi)
-        return w[..., None, None] * self.delta
+        return self.weight(phi, 1)[..., None, None] * self.delta
 
     def tensor_second(self, phi):
+        return self.weight(phi, 2)[..., None, None] * self.delta
+
+    def weight(self, phi, order=0):
+        """pi(phi) of C(phi) = C_minus + pi(phi) Delta C, or its derivative of
+        ``order`` 1 or 2; zero for a homogeneous law, whose C is C_minus."""
         phi = np.asarray(phi, dtype=float)
         if not self.heterogeneous:
-            return np.zeros(phi.shape + (3, 3))
-        w = pi_interp_second(phi)
-        return w[..., None, None] * self.delta
+            return np.zeros(phi.shape)
+        return (pi_interp, pi_interp_prime, pi_interp_second)[order](phi)
+
+    def swelling_row(self, pi):
+        """xi I . C(phi) per point, xi (I . C_minus + pi I . Delta C), from
+        pi = ``weight(phi)``: the row a unit of phi adds to the stress."""
+        return self.xi * (I_VOIGT @ self.c_minus + pi[..., None] * (I_VOIGT @ self.delta))
+
+    def swelling_modulus(self, pi):
+        """xi^2 I : C(phi) I per point, xi^2 (I:C_minus:I + pi I:Delta C:I),
+        from pi = ``weight(phi)``."""
+        ici = I_VOIGT @ self.c_minus @ I_VOIGT
+        return self.xi**2 * (ici + pi * (I_VOIGT @ self.delta @ I_VOIGT))
 
     def stress(self, phi, strain_voigt):
         """sigma = C(phi) (eps - xi phi I) in Voigt form."""

@@ -20,6 +20,14 @@ with, which is the discrete energy the schemes dissipate. A
 (``cached_property``); operators built from C(phi^{n-1}) go through
 ``SchemeContext.frozen_operator``, which keeps them for the step or, for a
 homogeneous law, on the mesh.
+
+C(phi) = C_minus + pi(phi) Delta C enters every residual and Jacobian only
+through the scalars pi, pi' and pi'' at the quadrature points
+(``ElasticLaw.weight``), combined with tensors fixed per law and mesh: the
+stress is C_minus e + pi Delta C e, the elasticity block is assembled from
+pi (``grid.assemble_vector_elasticity``), the coupling from the rows
+xi (I.C_minus + pi I.Delta C) (``ElasticLaw.swelling_row``). No 3x3 tensor
+is formed per point.
 """
 
 from dataclasses import dataclass, field
@@ -132,9 +140,9 @@ class SchemeContext:
         return grid.scalar_at_qp(self.mesh, self.prev.phi)
 
     @cached_property
-    def C_prev_qp(self):
-        """Stiffness tensor at the frozen phase field (semi-implicit)."""
-        return self.params.elastic.tensor(self.phi_prev_qp)
+    def pi_prev_qp(self):
+        """pi(phi^{n-1}): C(phi^{n-1}) = C_minus + pi_prev_qp Delta C."""
+        return self.params.elastic.weight(self.phi_prev_qp)
 
     def frozen_operator(self, name, build):
         """Operator ``build()`` that depends on C(phi^{n-1}), built once.
@@ -159,8 +167,8 @@ class SchemeContext:
         """Elasticity stiffness with C(phi^{n-1}); C constant if homogeneous."""
         def build():
             law = self.params.elastic
-            C = law.c_minus if not law.heterogeneous else self.C_prev_qp
-            return grid.assemble_vector_elasticity(self.mesh, C)
+            pi = self.pi_prev_qp if law.heterogeneous else None  # None: constant C
+            return grid.assemble_vector_elasticity(self.mesh, law.c_minus, pi, law.delta)
 
         return self.frozen_operator("A_prev", build)
 
@@ -172,7 +180,7 @@ class SchemeContext:
             if not law.heterogeneous:
                 vec = law.xi * (I_VOIGT @ law.c_minus)
             else:
-                vec = law.xi * np.einsum("c,eqcd->eqd", I_VOIGT, self.C_prev_qp)
+                vec = law.swelling_row(self.pi_prev_qp)
             return grid.assemble_coupling(self.mesh, vec)
 
         return self.frozen_operator("G_prev", build)
@@ -180,11 +188,7 @@ class SchemeContext:
     @cached_property
     def ici_prev_qp(self):
         """xi^2 I:C(phi^{n-1})I at quadrature points."""
-        law = self.params.elastic
-        if not law.heterogeneous:
-            val = law.xi**2 * (I_VOIGT @ law.c_minus @ I_VOIGT)
-            return np.full_like(self.phi_prev_qp, val)
-        return law.xi**2 * np.einsum("c,eqcd,d->eq", I_VOIGT, self.C_prev_qp, I_VOIGT)
+        return self.params.elastic.swelling_modulus(self.pi_prev_qp)
 
     @property
     def coupled_mass_prev(self):
@@ -205,9 +209,8 @@ class SchemeContext:
         if not law.heterogeneous:  # C' vanishes
             return np.zeros_like(self.phi_prev_qp)
         eps = grid.strain_at_qp(self.mesh, self.prev.u)
-        e = eps - law.xi * self.phi_prev_qp[..., None] * I_VOIGT
-        Cp = law.tensor_prime(self.phi_prev_qp)
-        return 0.5 * np.einsum("eqc,eqcd,eqd->eq", e, Cp, e)
+        e, dce = _misfit_qp(law, self.phi_prev_qp, eps)
+        return 0.5 * law.weight(self.phi_prev_qp, 1) * np.einsum("eqc,eqc->eq", e, dce)
 
     @cached_property
     def psi_e_prime_prev_qp(self):
@@ -233,17 +236,37 @@ class SchemeContext:
 # Coupling terms
 # ---------------------------------------------------------------------------
 
-def elastic_energy_density_derivative_qp(law, phi_qp, eps_qp):
+def _voigt(v, m):
+    """v @ m for per-point Voigt vectors v (..., 3) and a fixed (3,) or
+    (3, 3) m, as one 2-D product (a stacked product is slower)."""
+    return (v.reshape(-1, 3) @ m).reshape(v.shape[:-1] + m.shape[1:])
+
+
+def _misfit_qp(law, phi_qp, eps_qp):
+    """The misfit strain e = eps - xi phi I and Delta C e, per point."""
+    e = eps_qp - law.xi * phi_qp[..., None] * I_VOIGT
+    return e, _voigt(e, law.delta)
+
+
+def elastic_energy_density_derivative_qp(law, phi_qp, e, dce, sigma):
     """Pointwise variational derivative of the elastic energy w.r.t. phi.
 
-    0.5 e : C'(phi) e - xi I : C(phi) e   with   e = eps - xi phi I.
+    0.5 e : C'(phi) e - xi I : C(phi) e, from the misfit e, dce = Delta C e
+    (``_misfit_qp``) and the stress sigma = C(phi) e: it is
+    0.5 pi'(phi) e . dce - xi I . sigma.
     """
-    e = eps_qp - law.xi * phi_qp[..., None] * I_VOIGT
-    C = law.tensor(phi_qp)
-    Cp = law.tensor_prime(phi_qp)
-    quad = 0.5 * np.einsum("...c,...cd,...d->...", e, Cp, e)
-    lin = law.xi * np.einsum("c,...cd,...d->...", I_VOIGT, C, e)
-    return quad - lin
+    quad = 0.5 * law.weight(phi_qp, 1) * np.einsum("...c,...c->...", e, dce)
+    return quad - law.xi * _voigt(sigma, I_VOIGT)
+
+
+def _implicit_elastic_qp(law, phi_qp, eps_qp):
+    """Stress sigma = C(phi) e and the derivative of
+    ``elastic_energy_density_derivative_qp`` at the quadrature points, with
+    e and Delta C e computed once for both: sigma = C_minus e + pi Delta C e.
+    """
+    e, dce = _misfit_qp(law, phi_qp, eps_qp)
+    sigma = _voigt(e, law.c_minus) + law.weight(phi_qp)[..., None] * dce
+    return sigma, elastic_energy_density_derivative_qp(law, phi_qp, e, dce, sigma)
 
 
 def semi_implicit_coupling_term(state, ctx):
@@ -260,7 +283,7 @@ def semi_implicit_coupling_term(state, ctx):
     eps_qp = grid.strain_at_qp(ctx.mesh, state.u)
     e = eps_qp - law.xi * phi_qp[..., None] * I_VOIGT
     if law.heterogeneous:
-        lin = law.xi * np.einsum("c,eqcd,eqd->eq", I_VOIGT, ctx.C_prev_qp, e)
+        lin = np.einsum("eqc,eqc->eq", e, law.swelling_row(ctx.pi_prev_qp))
     else:
         lin = law.xi * np.einsum("c,cd,eqd->eq", I_VOIGT, law.c_minus, e)
     return ctx.explicit_elastic_qp - lin
@@ -270,8 +293,9 @@ def semi_implicit_coupling_term(state, ctx):
 # Residuals
 # ---------------------------------------------------------------------------
 
-def _phase_field_rows(state, ctx, phi_qp, eps_qp=None):
-    """(phi, mu) rows of the residual; ``eps_qp`` is needed if implicit.
+def _phase_field_rows(state, ctx, phi_qp, dE=None):
+    """(phi, mu) rows of the residual; the implicit scheme's elastic
+    derivative ``dE`` at the quadrature points is needed if implicit.
 
     For the homogeneous and semi-implicit schemes the elastic part of the mu
     rows is linear in the state with operators frozen at phi^{n-1}:
@@ -293,7 +317,6 @@ def _phase_field_rows(state, ctx, phi_qp, eps_qp=None):
         r_mu -= (params.gamma / params.ell) * grid.assemble_scalar_load(
             mesh, psi_c - ctx.psi_e_prime_prev_qp
         )
-        dE = elastic_energy_density_derivative_qp(params.elastic, phi_qp, eps_qp)
         r_mu -= grid.assemble_scalar_load(mesh, dE)
     else:
         r_mu -= (params.gamma / params.ell) * grid.assemble_scalar_load(mesh, psi_c)
@@ -309,21 +332,22 @@ def residual(state, ctx):
     The homogeneous and semi-implicit schemes evaluate the elastic rows as
     matvecs with the operators of ``jacobian``: the u rows are
     A_prev u - G_prev^T phi - f, the mu rows as in ``_phase_field_rows``.
-    The implicit scheme evaluates stress and coupling at quadrature points.
+    The implicit scheme evaluates stress and coupling at quadrature points
+    (``_implicit_elastic_qp``).
     """
     mesh = ctx.mesh
-    law = ctx.params.elastic
 
     phi_qp = grid.scalar_at_qp(mesh, state.phi)
     if ctx.scheme_kind == "implicit":
         eps_qp = grid.strain_at_qp(mesh, state.u)
-        r_phi, r_mu = _phase_field_rows(state, ctx, phi_qp, eps_qp)
-        e = eps_qp - law.xi * phi_qp[..., None] * I_VOIGT
-        sig = np.einsum("eqcd,eqd->eqc", law.tensor(phi_qp), e)
-        # int sigma : eps(v) assembled through the strain-displacement matrices
-        mats = np.einsum("q,eqc,qca->ea", mesh.qp_weights, sig, mesh.b_matrices)
-        r_u = np.zeros(2 * mesh.node_count)
-        np.add.at(r_u, mesh.u_dofs.ravel(), mats.ravel())
+        sig, dE = _implicit_elastic_qp(ctx.params.elastic, phi_qp, eps_qp)
+        r_phi, r_mu = _phase_field_rows(state, ctx, phi_qp, dE)
+        # int sigma : eps(v), through the weighted strain-displacement matrices
+        wB = (mesh.qp_weights[:, None, None] * mesh.b_matrices).reshape(-1, 8)
+        mats = sig.reshape(mesh.element_count, -1) @ wB
+        r_u = np.bincount(
+            mesh.u_dofs.ravel(), weights=mats.ravel(), minlength=2 * mesh.node_count
+        )
         r_u -= ctx.f_load
     else:
         r_phi, r_mu = _phase_field_rows(state, ctx, phi_qp)
@@ -346,18 +370,18 @@ def residual(state, ctx):
 def _jacobian_qp(state, ctx):
     """Fields at quadrature points shared by the blocks of a Jacobian.
 
-    phi, and for the implicit scheme e = eps(u) - xi phi I, C(phi) and
-    C'(phi); None for the others.
+    phi, and for the implicit scheme the misfit e = eps(u) - xi phi I,
+    Delta C e and the weights pi, pi', pi'' of C(phi); None for the others.
     """
     phi_qp = grid.scalar_at_qp(ctx.mesh, state.phi)
     if ctx.scheme_kind != "implicit":
-        return phi_qp, None, None, None
+        return phi_qp, None
     law = ctx.params.elastic
-    e = grid.strain_at_qp(ctx.mesh, state.u) - law.xi * phi_qp[..., None] * I_VOIGT
-    return phi_qp, e, law.tensor(phi_qp), law.tensor_prime(phi_qp)
+    e, dce = _misfit_qp(law, phi_qp, grid.strain_at_qp(ctx.mesh, state.u))
+    return phi_qp, (e, dce, *(law.weight(phi_qp, k) for k in range(3)))
 
 
-def _phase_field_blocks(ctx, phi_qp, e, C, Cp):
+def _phase_field_blocks(ctx, phi_qp, fields):
     """Data of d(r_mu, r_phi) / d(phi, mu), on the scalar pattern.
 
     ``grid.SaddlePattern.matrix`` scales the phi rows by tau, which makes
@@ -373,10 +397,12 @@ def _phase_field_blocks(ctx, phi_qp, e, C, Cp):
     ).data
     mu_phi = -params.gamma * params.ell * K - (params.gamma / params.ell) * psi_cc
     if ctx.scheme_kind == "implicit":
+        # 0.5 e:C''e - 2 xi I:C'e + xi^2 I:C:I
+        e, dce, pi, pi1, pi2 = fields
         g = (
-            0.5 * np.einsum("eqc,eqcd,eqd->eq", e, law.tensor_second(phi_qp), e)
-            - 2.0 * law.xi * np.einsum("c,eqcd,eqd->eq", I_VOIGT, Cp, e)
-            + law.xi**2 * np.einsum("c,eqcd,d->eq", I_VOIGT, C, I_VOIGT)
+            0.5 * pi2 * np.einsum("eqc,eqc->eq", e, dce)
+            - 2.0 * law.xi * pi1 * _voigt(dce, I_VOIGT)
+            + law.swelling_modulus(pi)
         )
         mu_phi = mu_phi - grid.assemble_weighted_mass(ctx.mesh, g).data
     else:
@@ -395,18 +421,17 @@ def _jacobian_blocks(state, ctx):
     blocks span every u dof, the constrained ones included."""
     mesh = ctx.mesh
     law = ctx.params.elastic
-    phi_qp, e, C, Cp = _jacobian_qp(state, ctx)
+    phi_qp, fields = _jacobian_qp(state, ctx)
     if ctx.scheme_kind == "implicit":
         # d(dE/dphi)/du in direction eps(du): e:C' eps(du) - xi I:C eps(du)
-        w = np.einsum("eqc,eqcd->eqd", e, Cp) - law.xi * np.einsum(
-            "c,eqcd->eqd", I_VOIGT, C
-        )
+        _, dce, pi, pi1, _ = fields
+        w = pi1[..., None] * dce - law.swelling_row(pi)
         G = -grid.assemble_coupling(mesh, w).data
-        A = grid.assemble_vector_elasticity(mesh, C).data
+        A = grid.assemble_vector_elasticity(mesh, law.c_minus, pi, law.delta).data
     else:
         G = ctx.coupling_prev.data
         A = ctx.elastic_matrix_prev.data
-    blocks = _phase_field_blocks(ctx, phi_qp, e, C, Cp)
+    blocks = _phase_field_blocks(ctx, phi_qp, fields)
     blocks.update(mu_u=G, u_phi=-G, u_u=A)
     return blocks
 
@@ -433,10 +458,11 @@ def ch_residual(state, ctx):
     through the G_prev matvec.
     """
     phi_qp = grid.scalar_at_qp(ctx.mesh, state.phi)
-    eps_qp = None
+    dE = None
     if ctx.scheme_kind == "implicit":
         eps_qp = grid.strain_at_qp(ctx.mesh, state.u)
-    out = np.concatenate(_phase_field_rows(state, ctx, phi_qp, eps_qp))
+        dE = _implicit_elastic_qp(ctx.params.elastic, phi_qp, eps_qp)[1]
+    out = np.concatenate(_phase_field_rows(state, ctx, phi_qp, dE))
     if not np.all(np.isfinite(out)):
         raise DivergedIterateError("non-finite residual")
     return out
@@ -504,11 +530,8 @@ def step_potential(state, ctx, mean_tol=1e-8):
     grad_qp = grid.gradient_at_qp(mesh, state.phi)
     eps_qp = grid.strain_at_qp(mesh, state.u)
     e = eps_qp - law.xi * phi_qp[..., None] * I_VOIGT
-    if law.heterogeneous:
-        Cq = ctx.C_prev_qp
-        elastic = 0.5 * np.einsum("q,eqc,eqcd,eqd->", w, e, Cq, e)
-    else:
-        elastic = 0.5 * np.einsum("q,eqc,cd,eqd->", w, e, law.c_minus, e)
+    sig = _voigt(e, law.c_minus) + ctx.pi_prev_qp[..., None] * _voigt(e, law.delta)
+    elastic = 0.5 * np.einsum("q,eqc,eqc->", w, e, sig)
 
     value = (
         dn**2 / (2.0 * params.tau)

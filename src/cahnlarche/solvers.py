@@ -289,14 +289,14 @@ def _newton_solve(S, r, ctx, lagged=None):
     The residual check is made in J's own rows, |J dx + r| <= tol |r| with
     tol = ``grid.RESIDUAL_TOL``: S only scales and permutes J's rows and
     columns, and r is zero on the constrained dofs that S drops. The row
-    scales are the ``grid.SaddlePattern.rows`` of a vector of ones. With the
+    scales are ``grid.SaddlePattern.row_scales``. With the
     ``LaggedLU`` ``lagged`` holding an LU of S's size, GMRES preconditioned
     by it is tried first; S is factored only if its iterate fails the check.
     """
     pattern = ctx.mesh.saddle_pattern(r.size > 2 * ctx.mesh.node_count)
     lagged = LaggedLU() if lagged is None else lagged
     b = pattern.rows(-r, ctx.params.tau)
-    d = pattern.rows(np.ones(r.size), ctx.params.tau)
+    d = pattern.row_scales(ctx.params.tau)
     if lagged.holds_for(S):
         try:
             x = grid.solve_linear(S, b, factor=lagged.krylov(d), row_scale=d)
@@ -415,7 +415,8 @@ def solve_elasticity_block(ctx, state):
     """Linear elasticity solve at the current phase field.
 
     The implicit scheme reassembles the stiffness A and the coupling G at
-    C(phi) of the current iterate, and SuperLU factors A every call. The
+    C(phi) of the current iterate, from pi(phi) at the quadrature points
+    (``ElasticLaw.weight``), and SuperLU factors A every call. The
     homogeneous and semi-implicit schemes use A and G at C(phi^{n-1}), with
     the free block of A and its LU built once through
     ``SchemeContext.frozen_operator``: once per step for a heterogeneous
@@ -428,10 +429,10 @@ def solve_elasticity_block(ctx, state):
     law = ctx.params.elastic
     free = mesh.free_u_dofs
     if ctx.scheme_kind == "implicit":
-        C = law.tensor(grid.scalar_at_qp(mesh, state.phi))
-        A = _free_block(grid.assemble_vector_elasticity(mesh, C), free)
-        vec = law.xi * np.einsum("c,eqcd->eqd", grid.I_VOIGT, C)
-        G = grid.assemble_coupling(mesh, vec)
+        pi = law.weight(grid.scalar_at_qp(mesh, state.phi))
+        A = grid.assemble_vector_elasticity(mesh, law.c_minus, pi, law.delta)
+        A = _free_block(A, free)
+        G = grid.assemble_coupling(mesh, law.swelling_row(pi))
         factor = None
     else:
         A = ctx.frozen_operator("A_free", lambda: _free_block(ctx.elastic_matrix_prev, free))

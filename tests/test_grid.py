@@ -148,15 +148,17 @@ def test_per_point_assembly_matches_quadrature_forms():
     # integrals summed at quadrature points from nodal fields
     mesh = grid.build_mesh(4)
     rng = np.random.Generator(np.random.PCG64(3))
-    L = rng.normal(size=(mesh.element_count, 4, 3, 3))
-    C = L @ np.swapaxes(L, -1, -2) + np.eye(3)
+    L = rng.normal(size=(2, 3, 3))
+    c, delta = L @ np.swapaxes(L, -1, -2) + np.eye(3)
+    pi = rng.uniform(-0.5, 1.5, size=(mesh.element_count, 4))
+    C = c + pi[..., None, None] * delta
     vec = rng.normal(size=(mesh.element_count, 4, 3))
     u, v = rng.normal(size=(2, 2 * mesh.node_count))
     phi = rng.normal(size=mesh.node_count)
     w = mesh.qp_weights
     eps_u, eps_v = grid.strain_at_qp(mesh, u), grid.strain_at_qp(mesh, v)
 
-    A = grid.assemble_vector_elasticity(mesh, C)
+    A = grid.assemble_vector_elasticity(mesh, c, pi, delta)
     ref = np.einsum("q,eqc,eqcd,eqd->", w, eps_v, C, eps_u)
     assert v @ (A @ u) == pytest.approx(ref, rel=1e-12)
 

@@ -1,14 +1,18 @@
 """Residual/Jacobian consistency, energies and step potentials.
 
-Independent oracles: finite-difference Jacobians at random states, a
-per-element 2x2 Gauss evaluation of the free energy, a from-scratch evaluation
-of the elastic energy derivative, and finite-difference gradients of the
-step potential restricted to mean-zero directions.
+Independent oracles: finite-difference Jacobians at random and at
+hypothesis-generated states, residuals and operators from the per-point
+stiffness tensors of ``ElasticLaw.tensor``, a per-element 2x2 Gauss
+evaluation of the free energy, a from-scratch evaluation of the elastic
+energy derivative, and finite-difference gradients of the step potential
+restricted to mean-zero directions.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import cahnlarche as cl
 from cahnlarche import grid, materials, schemes
@@ -31,6 +35,28 @@ def make_ctx(mesh, kind, rng, gamma=5.0, xi=1.0):
     return schemes.SchemeContext(
         prev=random_state(mesh, rng), params=params, scheme_kind=kind
     )
+
+
+def per_point_elasticity(mesh, C):
+    """int (C eps(u)) : eps(v) dx from a per-point (n_elem, nq, 3, 3) C,
+    element by element, summed by scipy's COO conversion."""
+    B = mesh.b_matrices
+    mats = np.einsum("q,qca,eqcd,qdb->eab", mesh.qp_weights, B, C, B)
+    rows = np.repeat(mesh.u_dofs, 8, axis=1)
+    cols = np.tile(mesh.u_dofs, (1, 8))
+    n = 2 * mesh.node_count
+    return sp.coo_matrix((mats.ravel(), (rows.ravel(), cols.ravel())), (n, n)).tocsr()
+
+
+def per_point_coupling(mesh, vec):
+    """G[i, a] = int p_i (v . B_a) dx from per-point rows (n_elem, nq, 3)."""
+    mats = np.einsum(
+        "q,qi,eqc,qca->eia", mesh.qp_weights, mesh.shape_vals, vec, mesh.b_matrices
+    )
+    rows = np.repeat(mesh.elements, 8, axis=1)
+    cols = np.tile(mesh.u_dofs, (1, 4))
+    shape = (mesh.node_count, 2 * mesh.node_count)
+    return sp.coo_matrix((mats.ravel(), (rows.ravel(), cols.ravel())), shape).tocsr()
 
 
 def fd_jacobian(state, ctx, eps=1e-6):
@@ -117,6 +143,54 @@ def test_jacobian_matches_finite_differences(kind):
     assert worst <= 1e-5
 
 
+def away_from_kinks(values, theta):
+    """Whether every value is at least 1e-3 from |phi| = 1 and |phi| = theta,
+    where pi' and Psi_c'' jump."""
+    a = np.abs(np.asarray(values))
+    return bool(np.all(np.abs(a - 1.0) >= 1e-3) and np.all(np.abs(a - theta) >= 1e-3))
+
+
+@st.composite
+def jacobian_cases(draw, kind):
+    """A context and state of scheme ``kind`` on an n x n mesh, n in
+    {2, 3, 4}, with phi in [-2.5, 2.5] away from the kinks at the nodes and
+    at the quadrature points."""
+    mesh = grid.build_mesh(draw(st.sampled_from([2, 3, 4])))
+    nn = mesh.node_count
+    theta = materials.ModelParams().theta
+
+    def field(size, bound, phi=False):
+        x = st.floats(-bound, bound, allow_nan=False, allow_infinity=False)
+        if phi:
+            x = x.filter(lambda v: away_from_kinks(v, theta))
+        return np.array(draw(st.lists(x, min_size=size, max_size=size)))
+
+    xi = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    law = materials.ElasticLaw(xi=xi, heterogeneous=kind != "homogeneous")
+    params = materials.ModelParams(gamma=5.0, elastic=law)
+    prev = schemes.State(field(nn, 1.5), field(nn, 3.0), field(2 * nn, 0.2), mesh)
+    ctx = schemes.SchemeContext(prev=prev, params=params, scheme_kind=kind)
+    state = schemes.State(
+        field(nn, 2.5, phi=True), field(nn, 3.0), field(2 * nn, 0.2), mesh
+    )
+    assume(away_from_kinks(grid.scalar_at_qp(mesh, state.phi), theta))
+    return ctx, state
+
+
+@pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
+@settings(
+    max_examples=30, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_jacobian_matches_finite_differences_at_generated_states(kind, data):
+    """The fixed-seed check above, at hypothesis-generated states."""
+    ctx, state = data.draw(jacobian_cases(kind))
+    J = expand_saddle(state, ctx)
+    Jfd = fd_jacobian(state, ctx)
+    assert np.abs(J - Jfd).max() <= 1e-5 * np.abs(J).max()
+
+
 def test_saddle_structure_semi_implicit():
     # off-diagonal coupling blocks are negative transposes of each other
     mesh = grid.build_mesh(4)
@@ -135,15 +209,25 @@ def test_saddle_structure_semi_implicit():
 
 
 def quadrature_residual(state, ctx):
-    """Residual of the homogeneous / semi-implicit scheme from fields at
-    quadrature points: C(phi^{n-1}) and the coupling term evaluated pointwise,
-    then integrated against the test functions."""
+    """Residual of a scheme from fields at quadrature points: the stiffness
+    tensors of ``ElasticLaw.tensor`` (C(phi^{n-1}), or C(phi) and C'(phi)
+    if implicit) and the coupling term evaluated pointwise, then integrated
+    against the test functions."""
     mesh, params = ctx.mesh, ctx.params
     law, dw = params.elastic, params.double_well
     M, K = mesh.mass, mesh.stiffness
     load = lambda values: grid.assemble_scalar_load(mesh, values)
     phi_qp = grid.scalar_at_qp(mesh, state.phi)
     phi_prev_qp = grid.scalar_at_qp(mesh, ctx.prev.phi)
+    e = grid.strain_at_qp(mesh, state.u) - law.xi * phi_qp[..., None] * I_VOIGT
+    if ctx.scheme_kind == "implicit":
+        C = law.tensor(phi_qp)
+        coupling = 0.5 * np.einsum(
+            "eqc,eqcd,eqd->eq", e, law.tensor_prime(phi_qp), e
+        ) - law.xi * np.einsum("c,eqcd,eqd->eq", I_VOIGT, C, e)
+    else:
+        C = law.tensor(phi_prev_qp)
+        coupling = schemes.semi_implicit_coupling_term(state, ctx)
 
     r_phi = (
         M @ ((state.phi - ctx.prev.phi) / params.tau)
@@ -155,10 +239,9 @@ def quadrature_residual(state, ctx):
         - params.gamma * params.ell * (K @ state.phi)
         - (params.gamma / params.ell)
         * load(dw.psi_c_prime(phi_qp) - dw.psi_e_prime(phi_prev_qp))
-        - load(schemes.semi_implicit_coupling_term(state, ctx))
+        - load(coupling)
     )
-    e = grid.strain_at_qp(mesh, state.u) - law.xi * phi_qp[..., None] * I_VOIGT
-    sig = np.einsum("eqcd,eqd->eqc", law.tensor(phi_prev_qp), e)
+    sig = np.einsum("eqcd,eqd->eqc", C, e)
     elem = np.einsum("q,eqc,qca->ea", mesh.qp_weights, sig, mesh.b_matrices)
     r_u = np.zeros(2 * mesh.node_count)
     np.add.at(r_u, mesh.u_dofs.ravel(), elem.ravel())
@@ -171,11 +254,13 @@ def quadrature_residual(state, ctx):
     return out
 
 
-@pytest.mark.parametrize("kind", ["homogeneous", "semi_implicit"])
+@pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
 def test_residual_matches_quadrature_form(kind):
-    """The matvec residual equals the quadrature-point form block by block,
-    including the explicit coupling term of the previous state, which the
-    finite-difference Jacobian cannot see."""
+    """The residual equals the quadrature-point form of the per-point
+    stiffness tensors block by block: the matvec residual of the homogeneous
+    and semi-implicit schemes, including the explicit coupling term of the
+    previous state, which the finite-difference Jacobian cannot see, and
+    the implicit scheme's stress and elastic derivative from pi."""
     mesh = grid.build_mesh(5)
     rng = np.random.Generator(np.random.PCG64(17))
     law = materials.ElasticLaw(xi=0.8, heterogeneous=kind != "homogeneous")
@@ -198,6 +283,102 @@ def test_residual_matches_quadrature_form(kind):
             assert np.abs(got[block] - want[block]).max() <= tol
             if block.stop <= 2 * nn:
                 assert np.abs(got_ch[block] - want[block]).max() <= tol
+
+
+@pytest.mark.parametrize("heterogeneous", [True, False])
+def test_weighted_assembly_matches_per_point_tensors(heterogeneous):
+    """Elasticity and coupling operators assembled from pi(phi) equal those
+    of the per-point tensors C(phi) = ``ElasticLaw.tensor``, with phi in
+    [-1.5, 1.5], so the clamp of pi is active: the semi-implicit operators
+    at phi^{n-1} and the implicit Jacobian's u and coupling blocks at phi."""
+    mesh = grid.build_mesh(4)
+    rng = np.random.Generator(np.random.PCG64(23))
+    law = materials.ElasticLaw(xi=0.8, heterogeneous=heterogeneous)
+    params = materials.ModelParams(elastic=law)
+    prev, state = random_state(mesh, rng), random_state(mesh, rng)
+    assert np.abs(prev.phi).max() > 1 and np.abs(state.phi).max() > 1
+
+    def close(got, want):
+        got, want = sp.csr_matrix(got).toarray(), sp.csr_matrix(want).toarray()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def on_pattern(data, kind):
+        p = mesh.pattern(kind)
+        return sp.csr_matrix((data, p.indices, p.indptr), shape=p.shape)
+
+    ctx = schemes.SchemeContext(prev=prev, params=params, scheme_kind="semi_implicit")
+    C = law.tensor(grid.scalar_at_qp(mesh, prev.phi))
+    close(ctx.elastic_matrix_prev, per_point_elasticity(mesh, C))
+    swelling = law.xi * np.einsum("c,eqcd->eqd", I_VOIGT, C)
+    close(ctx.coupling_prev, per_point_coupling(mesh, swelling))
+    ici = law.xi**2 * np.einsum("c,eqcd,d->eq", I_VOIGT, C, I_VOIGT)
+    close(ctx.ici_prev_qp, ici)
+
+    ctx = schemes.SchemeContext(prev=prev, params=params, scheme_kind="implicit")
+    blocks = schemes._jacobian_blocks(state, ctx)
+    phi_qp = grid.scalar_at_qp(mesh, state.phi)
+    C, Cp = law.tensor(phi_qp), law.tensor_prime(phi_qp)
+    e = grid.strain_at_qp(mesh, state.u) - law.xi * phi_qp[..., None] * I_VOIGT
+    w = np.einsum("eqc,eqcd->eqd", e, Cp) - law.xi * np.einsum("c,eqcd->eqd", I_VOIGT, C)
+    close(on_pattern(blocks["u_u"], "vector"), per_point_elasticity(mesh, C))
+    close(on_pattern(blocks["mu_u"], "coupling"), -per_point_coupling(mesh, w))
+
+
+def test_implicit_kernels_form_no_stiffness_tensor(monkeypatch):
+    """The implicit residuals and Jacobians evaluate C(phi) through pi alone:
+    none of them calls ``ElasticLaw.tensor``, ``tensor_prime`` or
+    ``tensor_second``."""
+    calls = []
+    for name in ("tensor", "tensor_prime", "tensor_second"):
+        def counted(self, phi, _name=name, _f=getattr(materials.ElasticLaw, name)):
+            calls.append(_name)
+            return _f(self, phi)
+
+        monkeypatch.setattr(materials.ElasticLaw, name, counted)
+    mesh = grid.build_mesh(4)
+    rng = np.random.Generator(np.random.PCG64(8))
+    ctx = make_ctx(mesh, "implicit", rng)
+    state = random_state(mesh, rng)
+    schemes.residual(state, ctx)
+    schemes.jacobian(state, ctx)
+    schemes.ch_residual(state, ctx)
+    schemes.ch_jacobian(state, ctx)
+    assert calls == []
+    schemes.free_energy(state, ctx.params)  # the counters do count
+    assert calls == ["tensor"]
+
+
+def test_homogeneous_operators_keep_constant_formulas():
+    """A homogeneous law's elasticity, coupling and chord operators are
+    bitwise those of the constant C = c_minus."""
+    mesh = grid.build_mesh(4)
+    ctx = make_ctx(mesh, "homogeneous", np.random.Generator(np.random.PCG64(6)))
+    p, law = ctx.params, ctx.params.elastic
+    w, N, B = mesh.qp_weights, mesh.shape_vals, mesh.b_matrices
+    ne = mesh.element_count
+
+    elem = np.einsum("q,qca,cd,qdb->ab", w, B, law.c_minus, B)
+    A = mesh.pattern("vector").assemble(np.broadcast_to(elem, (ne, 8, 8)))
+    assert np.array_equal(ctx.elastic_matrix_prev.data, A.data)
+    vec = law.xi * (I_VOIGT @ law.c_minus)
+    elem = np.einsum("q,qi,c,qca->ia", w, N, vec, B)
+    G = mesh.pattern("coupling").assemble(np.broadcast_to(elem, (ne, 4, 8)))
+    assert np.array_equal(ctx.coupling_prev.data, G.data)
+
+    ici = np.full((ne, 4), law.xi**2 * (I_VOIGT @ law.c_minus @ I_VOIGT))
+    W = grid.assemble_weighted_mass(mesh, ici)
+    psi_cc = grid.assemble_weighted_mass(
+        mesh, p.double_well.psi_c_second(grid.scalar_at_qp(mesh, ctx.prev.phi))
+    )
+    M, K = mesh.mass.data, mesh.stiffness.data
+    blocks = {
+        "mu_phi": -p.gamma * p.ell * K - (p.gamma / p.ell) * psi_cc.data - W.data,
+        "mu_mu": M,
+        "phi_phi": M * (1 / p.tau),
+        "phi_mu": p.m * K,
+    }
+    chord = mesh.saddle_pattern(full=False).matrix(blocks, p.tau)
+    assert np.array_equal(schemes.ch_jacobian(ctx.prev.copy(), ctx).data, chord.data)
 
 
 def test_residual_zero_at_trivial_state():
@@ -223,7 +404,7 @@ def test_coupling_term_matches_implicit_at_prev():
     si = schemes.semi_implicit_coupling_term(prev, ctx)
     phi_qp = grid.scalar_at_qp(mesh, prev.phi)
     eps_qp = grid.strain_at_qp(mesh, prev.u)
-    full = schemes.elastic_energy_density_derivative_qp(law, phi_qp, eps_qp)
+    full = schemes._implicit_elastic_qp(law, phi_qp, eps_qp)[1]
     assert np.allclose(si, full, atol=1e-12)
 
 
@@ -245,7 +426,7 @@ def test_elastic_derivative_independent_oracle():
     rng = np.random.Generator(np.random.PCG64(5))
     phi = rng.uniform(-1.2, 1.2, 6)
     eps = rng.normal(0, 1, (6, 3))
-    got = schemes.elastic_energy_density_derivative_qp(law, phi, eps)
+    got = schemes._implicit_elastic_qp(law, phi, eps)[1]
     for k in range(6):
         e = eps[k] - law.xi * phi[k] * I_VOIGT
         C = law.tensor(np.array([phi[k]]))[0]

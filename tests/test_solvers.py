@@ -132,6 +132,8 @@ def oracle_jacobian(state, ctx, block):
     """The Jacobian of ``schemes.residual`` (``block == "full"``, with identity
     rows on the constrained dofs) or of ``schemes.ch_residual``, assembled
     from grid primitives with ``sp.bmat`` in the (phi, mu, u) layout."""
+    from tests.test_schemes import per_point_coupling, per_point_elasticity
+
     mesh, p = ctx.mesh, ctx.params
     law, xi = p.elastic, p.elastic.xi
     M, K = grid.assemble_mass(mesh), grid.assemble_stiffness(mesh)
@@ -147,18 +149,18 @@ def oracle_jacobian(state, ctx, block):
             + xi**2 * np.einsum("c,eqcd,d->eq", I, C, I)
         )
         w = np.einsum("eqc,eqcd->eqd", e, Cp) - xi * np.einsum("c,eqcd->eqd", I, C)
-        G = -grid.assemble_coupling(mesh, w)
+        G = -per_point_coupling(mesh, w)
     else:
         C = law.tensor(grid.scalar_at_qp(mesh, ctx.prev.phi))
         g = xi**2 * np.einsum("c,eqcd,d->eq", I, C, I)
-        G = grid.assemble_coupling(mesh, xi * np.einsum("c,eqcd->eqd", I, C))
+        G = per_point_coupling(mesh, xi * np.einsum("c,eqcd->eqd", I, C))
     J_mp = (
         -p.gamma * p.ell * K - (p.gamma / p.ell) * psi_cc
         - grid.assemble_weighted_mass(mesh, g)
     )
     if block != "full":
         return sp.bmat([[M / p.tau, p.m * K], [J_mp, M]], format="csr")
-    A = grid.assemble_vector_elasticity(mesh, C)
+    A = per_point_elasticity(mesh, C)
     J = sp.bmat(
         [[M / p.tau, p.m * K, None], [J_mp, M, G], [-G.T, None, A]], format="lil"
     )
