@@ -12,10 +12,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
-from .grid import GAUSS_1D, I_VOIGT
+from . import grid
 
 
 # ---------------------------------------------------------------------------
@@ -45,10 +44,9 @@ def dual_norm(s, mesh, mobility=1.0, mean_tol=1e-8):
         mK = mobility * K
         a = M @ np.ones(mesh.node_count)
         A = sp.bmat([[mK, a[:, None]], [a[None, :], None]], format="csc")
-        mesh._cache[key] = spla.splu(A)
-    lu = mesh._cache[key]
+        mesh._cache[key] = grid.factorize(A)
     rhs = np.concatenate([rhs_s - total / area * (M @ np.ones(mesh.node_count)), [0.0]])
-    v = lu.solve(rhs)[:-1]
+    v = mesh._cache[key](rhs)[:-1]
     val = mobility * float(v @ (K @ v))
     return float(np.sqrt(max(val, 0.0)))
 
@@ -83,7 +81,7 @@ def _pencil_1d(mesh):
     Dense, (n+1) x (n+1).
     """
     n, h = mesh.n_per_side, mesh.h
-    x, w = GAUSS_1D
+    x, w = grid.GAUSS_1D
     N = np.stack([1.0 - x, x], axis=1)
     dN = np.array([-1.0, 1.0])
     out = []
@@ -155,7 +153,7 @@ def rate_bound(params, constants):
         couple_lo = law.xi**2 * 2.0 * c_lo
         couple_hi = law.xi**2 * 2.0 * c_hi
     else:
-        ici = float(I_VOIGT @ law.c_minus @ I_VOIGT)
+        ici = float(grid.I_VOIGT @ law.c_minus @ grid.I_VOIGT)
         couple_lo = couple_hi = law.xi**2 * ici
 
     h2_term = constants.h**2 / (params.tau * constants.inverse**2)

@@ -51,7 +51,7 @@ def _load_config(args):
         "n": args.n,
         "gamma": args.gamma,
         "xi": args.xi,
-        "t_final": getattr(args, "t_final", None),
+        "t_final": args.t_final,
         "init": args.init,
     }
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
@@ -127,8 +127,6 @@ def main(argv=None):
     _add_common(p_const)
 
     args = parser.parse_args(argv)
-    if args.out is None:
-        args.out = "out"
     handlers = {"run": cmd_run, "sweep": cmd_sweep, "constants": cmd_constants}
     try:
         return handlers[args.command](args)

@@ -3,8 +3,10 @@
 Provides the mesh, quadrature, assembly primitives (scalar mass/stiffness,
 vector elasticity, scalar-vector coupling, load vectors) on sparsity patterns
 fixed per mesh, the saddle form of the Newton matrices in a nested-dissection
-order of the grid (``SaddlePattern``), symmetric Dirichlet elimination and
-sparse direct solves. The elasticity of C(phi) = C_minus + pi(phi) Delta C
+order of the grid (``SaddlePattern``) and symmetric Dirichlet elimination.
+``factorize`` makes every SuperLU factorization of the package, and
+``solve_linear`` checks the residual of a solve it is given, direct or
+iterative. The elasticity of C(phi) = C_minus + pi(phi) Delta C
 is assembled from the weights pi at the quadrature points alone: one
 product with the per-point element matrices of Delta C, built once per mesh
 (``Mesh.elasticity_basis``); the coupling likewise from per-point Voigt
@@ -563,25 +565,29 @@ def eliminate_dirichlet(matrix, rhs, dofs, values=None):
     return A, b
 
 
-def solve_linear(matrix, rhs, factor=None, row_scale=None):
-    """Sparse direct solve with an algebraic residual check.
+def factorize(matrix, **options):
+    """The solve function of ``spla.splu(matrix, **options)``.
 
-    ``factor(matrix)`` returns the solve function of a factorization of
-    ``matrix``; without it SuperLU factors ``matrix`` in its default column
-    order. The residual is checked against ``matrix`` and ``rhs`` either way.
-    When ``matrix`` is D A with the row scales D given as ``row_scale``, the
-    check is made in A's rows: |D^-1 (matrix x - rhs)| <= RESIDUAL_TOL
-    |D^-1 rhs|.
+    Every SuperLU factorization of the package is made here, so that each
+    failure is reported alike: a RuntimeError of SuperLU (an exactly
+    singular matrix) is raised as ``SingularSystemError``.
     """
-    b = np.asarray(rhs, dtype=float)
     try:
-        if factor is None:
-            matrix = matrix.tocsc()
-            solve = spla.splu(matrix).solve
-        else:
-            solve = factor(matrix)
+        return spla.splu(matrix, **options).solve
     except RuntimeError as exc:
         raise SingularSystemError(f"factorization failed: {exc}") from exc
+
+
+def solve_linear(matrix, rhs, solve, row_scale=None):
+    """``solve(rhs)``, checked as a solution of ``matrix`` x = ``rhs``.
+
+    ``solve`` may be an LU solve (``factorize``) or an iterative one. A
+    result that is non-finite or whose relative residual exceeds
+    ``RESIDUAL_TOL`` raises ``SingularSystemError``. When ``matrix`` is
+    D A with the row scales D given as ``row_scale``, the check is made in
+    A's rows: |D^-1 (matrix x - rhs)| <= RESIDUAL_TOL |D^-1 rhs|.
+    """
+    b = np.asarray(rhs, dtype=float)
     x = solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("solve produced non-finite values")

@@ -91,7 +91,7 @@ class SchemeContext:
     scheme_kind: str
     R: np.ndarray = None  # nodal source, None = zero
     f: np.ndarray = None  # nodal body force (interleaved), None = zero
-    # per-step operators of frozen_operator, and the chord's LU (solvers)
+    # per-step operators of frozen_operator
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -293,9 +293,10 @@ def semi_implicit_coupling_term(state, ctx):
 # Residuals
 # ---------------------------------------------------------------------------
 
-def _phase_field_rows(state, ctx, phi_qp, dE=None):
-    """(phi, mu) rows of the residual; the implicit scheme's elastic
-    derivative ``dE`` at the quadrature points is needed if implicit.
+def _residual(state, ctx, u_rows):
+    """The kernel of ``residual`` and, without ``u_rows``, of
+    ``ch_residual``: the (phi, mu) rows are one computation either way, and
+    every row computed is checked to be finite.
 
     For the homogeneous and semi-implicit schemes the elastic part of the mu
     rows is linear in the state with operators frozen at phi^{n-1}:
@@ -306,6 +307,7 @@ def _phase_field_rows(state, ctx, phi_qp, dE=None):
     mesh = ctx.mesh
     params = ctx.params
     M, K = ctx.M, ctx.K
+    phi_qp = grid.scalar_at_qp(mesh, state.phi)
     r_phi = (
         M @ ((state.phi - ctx.prev.phi) / params.tau)
         + params.m * (K @ state.mu)
@@ -314,16 +316,36 @@ def _phase_field_rows(state, ctx, phi_qp, dE=None):
     r_mu = M @ state.mu - params.gamma * params.ell * (K @ state.phi)
     psi_c = params.double_well.psi_c_prime(phi_qp)
     if ctx.scheme_kind == "implicit":
+        eps_qp = grid.strain_at_qp(mesh, state.u)
+        sig, dE = _implicit_elastic_qp(params.elastic, phi_qp, eps_qp)
         r_mu -= (params.gamma / params.ell) * grid.assemble_scalar_load(
             mesh, psi_c - ctx.psi_e_prime_prev_qp
         )
         r_mu -= grid.assemble_scalar_load(mesh, dE)
+        if u_rows:
+            # int sigma : eps(v), through the weighted strain-displacement matrices
+            wB = (mesh.qp_weights[:, None, None] * mesh.b_matrices).reshape(-1, 8)
+            mats = sig.reshape(mesh.element_count, -1) @ wB
+            r_u = np.bincount(
+                mesh.u_dofs.ravel(), weights=mats.ravel(), minlength=2 * mesh.node_count
+            )
+            r_u -= ctx.f_load
     else:
         r_mu -= (params.gamma / params.ell) * grid.assemble_scalar_load(mesh, psi_c)
         r_mu += ctx.frozen_mu_load
         r_mu += ctx.coupling_prev @ (state.u - ctx.prev.u)
         r_mu -= ctx.coupled_mass_prev @ (state.phi - ctx.prev.phi)
-    return r_phi, r_mu
+        if u_rows:
+            r_u = (
+                ctx.elastic_matrix_prev @ state.u
+                - ctx.coupling_prev.T @ state.phi
+                - ctx.f_load
+            )
+
+    out = np.concatenate([r_phi, r_mu, r_u] if u_rows else [r_phi, r_mu])
+    if not np.all(np.isfinite(out)):
+        raise DivergedIterateError("non-finite residual")
+    return out
 
 
 def residual(state, ctx):
@@ -331,39 +353,14 @@ def residual(state, ctx):
 
     The homogeneous and semi-implicit schemes evaluate the elastic rows as
     matvecs with the operators of ``jacobian``: the u rows are
-    A_prev u - G_prev^T phi - f, the mu rows as in ``_phase_field_rows``.
+    A_prev u - G_prev^T phi - f, the mu rows as in ``_residual``.
     The implicit scheme evaluates stress and coupling at quadrature points
     (``_implicit_elastic_qp``).
     """
-    mesh = ctx.mesh
-
-    phi_qp = grid.scalar_at_qp(mesh, state.phi)
-    if ctx.scheme_kind == "implicit":
-        eps_qp = grid.strain_at_qp(mesh, state.u)
-        sig, dE = _implicit_elastic_qp(ctx.params.elastic, phi_qp, eps_qp)
-        r_phi, r_mu = _phase_field_rows(state, ctx, phi_qp, dE)
-        # int sigma : eps(v), through the weighted strain-displacement matrices
-        wB = (mesh.qp_weights[:, None, None] * mesh.b_matrices).reshape(-1, 8)
-        mats = sig.reshape(mesh.element_count, -1) @ wB
-        r_u = np.bincount(
-            mesh.u_dofs.ravel(), weights=mats.ravel(), minlength=2 * mesh.node_count
-        )
-        r_u -= ctx.f_load
-    else:
-        r_phi, r_mu = _phase_field_rows(state, ctx, phi_qp)
-        r_u = (
-            ctx.elastic_matrix_prev @ state.u
-            - ctx.coupling_prev.T @ state.phi
-            - ctx.f_load
-        )
-
-    out = np.concatenate([r_phi, r_mu, r_u])
-    if not np.all(np.isfinite(out)):
-        raise DivergedIterateError("non-finite residual")
-
+    out = _residual(state, ctx, u_rows=True)
     # Dirichlet rows carry the value residual
-    c = mesh.constrained_u_dofs
-    out[2 * mesh.node_count + c] = state.u[c]
+    c = ctx.mesh.constrained_u_dofs
+    out[2 * ctx.mesh.node_count + c] = state.u[c]
     return out
 
 
@@ -451,21 +448,9 @@ def jacobian(state, ctx):
 
 
 def ch_residual(state, ctx):
-    """(phi, mu) rows of the residual at frozen displacement.
-
-    Equal to the first two blocks of ``residual`` without its u rows; the
-    displacement enters the homogeneous and semi-implicit schemes only
-    through the G_prev matvec.
-    """
-    phi_qp = grid.scalar_at_qp(ctx.mesh, state.phi)
-    dE = None
-    if ctx.scheme_kind == "implicit":
-        eps_qp = grid.strain_at_qp(ctx.mesh, state.u)
-        dE = _implicit_elastic_qp(ctx.params.elastic, phi_qp, eps_qp)[1]
-    out = np.concatenate(_phase_field_rows(state, ctx, phi_qp, dE))
-    if not np.all(np.isfinite(out)):
-        raise DivergedIterateError("non-finite residual")
-    return out
+    """(phi, mu) rows of ``residual``, at frozen displacement: the same
+    computation without the u rows."""
+    return _residual(state, ctx, u_rows=False)
 
 
 def ch_jacobian(state, ctx):

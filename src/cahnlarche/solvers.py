@@ -17,11 +17,13 @@ on the outer loop's rule, within at most 50 passes, or 200 with the chord
 (``_INNER_MAX_ITER``). Failure to converge is a reported outcome, not an
 exception.
 
-Every Newton matrix (monolithic, phase-field block, chord) arrives from
-``schemes`` in its symmetric saddle-point form on the free dofs, already in
-a nested-dissection order fixed by the mesh, and is factored in that
-order; the mesh's ``grid.SaddlePattern`` maps right-hand sides (``rows``)
-and solutions (``unknowns``) between the (phi, mu, u) layout and that form.
+Both Newton iterations take one step (``_newton_step``) with a linear
+solve chosen once per solver call. Every Newton matrix (monolithic, phase-field block,
+chord) arrives from ``schemes`` in its symmetric saddle-point form on the
+free dofs, already in a nested-dissection order fixed by the mesh, and is
+factored in that order; the mesh's ``grid.SaddlePattern`` maps right-hand
+sides (``rows``) and solutions (``unknowns``) between the (phi, mu, u)
+layout and that form. Every LU is made by ``grid.factorize``.
 
 The exact Newton solves (monolithic, and the phase-field block without the
 chord) reuse a lagged LU (``LaggedLU``): the latest saddle LU preconditions
@@ -32,13 +34,15 @@ step beyond the first cuts its residual estimate by less than
 ``1 / _GMRES_GIVE_UP``. ``harness.run_simulation`` passes one ``LaggedLU``
 to every time step, so a step's first matrix is solved with the previous
 step's last LU; a standalone ``newton_monolithic`` or
-``alternating_minimization`` call makes its own.
+``alternating_minimization`` call makes its own. The chord solves every
+pass of a time step with one LU, of the block Jacobian at phi^{n-1}, held
+by that step's ``alternating_minimization`` call (``_chord``).
 """
 
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import grid, schemes
 from .acceleration import AndersonWindow
@@ -173,15 +177,10 @@ def _factor_saddle(S):
     fixed by the mesh, so SuperLU keeps that order (it only post-orders the
     elimination tree) and takes diagonal pivots.
     """
-    try:
-        lu = spla.splu(
-            S, permc_spec="NATURAL",
-            diag_pivot_thresh=_SADDLE_PIVOT_THRESHOLD,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:
-        raise grid.SingularSystemError(f"factorization failed: {exc}") from exc
-    return lu.solve
+    return grid.factorize(
+        S, permc_spec="NATURAL", diag_pivot_thresh=_SADDLE_PIVOT_THRESHOLD,
+        options={"SymmetricMode": True},
+    )
 
 
 # At most this many GMRES steps are tried with the held LU before a saddle
@@ -278,10 +277,6 @@ class LaggedLU:
             self.solve = None
         return self.solve is not None
 
-    def krylov(self, d):
-        """A ``factor`` for ``grid.solve_linear``: GMRES with the held LU."""
-        return lambda S: lambda b: _gmres(S, d, self.solve, b)
-
 
 def _newton_solve(S, r, ctx, lagged=None):
     """Newton increment dx with J dx = -r, from the saddle form S of J.
@@ -299,23 +294,39 @@ def _newton_solve(S, r, ctx, lagged=None):
     d = pattern.row_scales(ctx.params.tau)
     if lagged.holds_for(S):
         try:
-            x = grid.solve_linear(S, b, factor=lagged.krylov(d), row_scale=d)
+            x = grid.solve_linear(S, b, partial(_gmres, S, d, lagged.solve), row_scale=d)
             return pattern.unknowns(x, r.size)
         except grid.SingularSystemError:
             pass
-    x = grid.solve_linear(S, b, factor=lagged.factor, row_scale=d)
+    x = grid.solve_linear(S, b, lagged.factor(S), row_scale=d)
     return pattern.unknowns(x, r.size)
 
 
-def _linear_solve(solve, *args):
-    """``solve(*args)``; a failed or non-finite solve ends the step."""
-    try:
-        dx = solve(*args)
-    except grid.SingularSystemError as exc:
-        raise _StepFailed(f"linear solve failed: {exc}") from exc
-    if not np.all(np.isfinite(dx)):
-        raise _StepFailed("linear solve failed: non-finite values")
-    return dx
+def _exact(jacobian, ctx, lagged=None):
+    """Exact Newton increments: ``jacobian`` at the iterate, solved by
+    ``_newton_solve`` with the ``LaggedLU`` ``lagged`` (a fresh one if not
+    given)."""
+    lagged = LaggedLU() if lagged is None else lagged
+    return lambda state, r: _newton_solve(jacobian(state, ctx), r, ctx, lagged)
+
+
+def _newton_step(solve):
+    """The step of both Newton solvers for ``_iterate``: the increment
+    dx = solve(state, r) of J dx = -r is added to the leading rows of the
+    packed iterate, all of them or the (phi, mu) rows of the block. A failed
+    or non-finite solve ends the iteration."""
+    def step(state, r):
+        try:
+            dx = solve(state, r)
+        except grid.SingularSystemError as exc:
+            raise _StepFailed(f"linear solve failed: {exc}") from exc
+        if not np.all(np.isfinite(dx)):
+            raise _StepFailed("linear solve failed: non-finite values")
+        x = state.pack()
+        x[: dx.size] += dx
+        return State.unpack(x, state.mesh), dx
+
+    return step
 
 
 def _constrained_copy(ctx, state):
@@ -337,14 +348,9 @@ def newton_monolithic(ctx, initial, stopping=None, max_iter=50, lagged=None):
     SolveReport; the state carries the last iterate even when the iteration
     did not converge.
     """
-    lagged = LaggedLU() if lagged is None else lagged
-
-    def step(state, r):
-        dx = _linear_solve(_newton_solve, schemes.jacobian(state, ctx), r, ctx, lagged)
-        return State.unpack(state.pack() + dx, ctx.mesh), dx
-
     return _iterate(
-        _constrained_copy(ctx, initial), lambda st: schemes.residual(st, ctx), step,
+        _constrained_copy(ctx, initial), lambda st: schemes.residual(st, ctx),
+        _newton_step(_exact(schemes.jacobian, ctx, lagged)),
         stopping or StoppingRule(), max_iter, "maximum Newton iterations reached",
     )
 
@@ -357,46 +363,35 @@ _ch_residual = schemes.ch_residual
 _ch_jacobian = schemes.ch_jacobian
 
 
-def _chord_solve(ctx, b):
-    """Solve with the phase-field Jacobian at phi^{n-1}, factored once per step.
+def _chord(ctx):
+    """Chord increments of the phase-field block, from one LU of its
+    Jacobian at phi^{n-1}, held by the returned solve.
 
     The converged solution is unchanged (the residual test is exact); only
     the inner linearization is frozen, saving one factorization per inner
-    iteration.
+    iteration. The LU is made on first use, inside a Newton step, so that
+    its failure is the block's reported "linear solve failed". Its solves
+    are not residual-checked.
     """
-    if "ch_chord_lu" not in ctx._cache:
-        ctx._cache["ch_chord_lu"] = _factor_saddle(_ch_jacobian(ctx.prev.copy(), ctx))
+    lu = cache(lambda: _factor_saddle(_ch_jacobian(ctx.prev.copy(), ctx)))
     pattern = ctx.mesh.saddle_pattern(full=False)
-    x = ctx._cache["ch_chord_lu"](pattern.rows(b, ctx.params.tau))
-    return pattern.unknowns(x, b.size)
+    return lambda state, r: pattern.unknowns(lu()(pattern.rows(-r, ctx.params.tau)), r.size)
 
 
-def newton_ch_block(ctx, state, *, r, stopping=None, max_iter=50, chord=False,
-                    lagged=None):
+def newton_ch_block(ctx, state, *, r, solve=None, stopping=None, max_iter=50):
     """Newton solve of the phase-field block at fixed displacement.
 
     ``r`` is the phase-field residual at ``state``, the (phi, mu) rows of
-    ``schemes.residual``. With ``chord`` the Jacobian is frozen at the
-    previous time level and factorized once per step; otherwise it is exact
-    at every iterate, and solved with the LU held by the ``LaggedLU``
-    ``lagged`` (a fresh one per call if not given). Updates phi and mu of
-    ``state`` in place and returns (state, report).
+    ``schemes.residual``. ``solve(state, r)`` gives the Newton increment
+    of the block: the chord's (``_chord``) or, by default, exact Newton's,
+    with a fresh ``LaggedLU``. Returns the new state, whose u is that of
+    ``state``, and the report.
     """
-    nn = ctx.mesh.node_count
-    lagged = LaggedLU() if lagged is None else lagged
-
-    def step(state, r):
-        if chord:
-            dx = _linear_solve(_chord_solve, ctx, -r)
-        else:
-            dx = _linear_solve(_newton_solve, _ch_jacobian(state, ctx), r, ctx, lagged)
-        state.phi += dx[:nn]
-        state.mu += dx[nn:]
-        return state, dx
-
+    solve = _exact(_ch_jacobian, ctx) if solve is None else solve
     return _iterate(
-        state, lambda st: _ch_residual(st, ctx), step, stopping or StoppingRule(),
-        max_iter, "maximum Newton iterations reached in phase-field block", r=r,
+        state, lambda st: _ch_residual(st, ctx), _newton_step(solve),
+        stopping or StoppingRule(), max_iter,
+        "maximum Newton iterations reached in phase-field block", r=r,
     )
 
 
@@ -416,14 +411,15 @@ def solve_elasticity_block(ctx, state):
 
     The implicit scheme reassembles the stiffness A and the coupling G at
     C(phi) of the current iterate, from pi(phi) at the quadrature points
-    (``ElasticLaw.weight``), and SuperLU factors A every call. The
-    homogeneous and semi-implicit schemes use A and G at C(phi^{n-1}), with
-    the free block of A and its LU built once through
-    ``SchemeContext.frozen_operator``: once per step for a heterogeneous
-    law, once per mesh, ``xi`` and ``c_minus`` for a homogeneous one. Either
-    way the system is solved on the free dofs by ``grid.solve_linear``,
-    which checks the residual, and u = 0 on the boundary.
-    Updates state.u in place.
+    (``ElasticLaw.weight``), and factors A every call. The homogeneous and
+    semi-implicit schemes use A and G at C(phi^{n-1}), with the free block
+    of A and its LU built once through ``SchemeContext.frozen_operator``:
+    once per step for a heterogeneous law, once per mesh, ``xi`` and
+    ``c_minus`` for a homogeneous one. Either way ``grid.factorize`` makes
+    the LU, so a failed factorization raises ``grid.SingularSystemError``;
+    the system is solved on the free dofs by ``grid.solve_linear``, which
+    checks the residual, and u = 0 on the boundary. Updates state.u in
+    place.
     """
     mesh = ctx.mesh
     law = ctx.params.elastic
@@ -433,15 +429,14 @@ def solve_elasticity_block(ctx, state):
         A = grid.assemble_vector_elasticity(mesh, law.c_minus, pi, law.delta)
         A = _free_block(A, free)
         G = grid.assemble_coupling(mesh, law.swelling_row(pi))
-        factor = None
+        solve = grid.factorize(A)
     else:
         A = ctx.frozen_operator("A_free", lambda: _free_block(ctx.elastic_matrix_prev, free))
-        lu = ctx.frozen_operator("elast_lu", lambda: spla.splu(A))
+        solve = ctx.frozen_operator("elast_lu", lambda: grid.factorize(A))
         G = ctx.coupling_prev
-        factor = lambda _: lu.solve
     rhs = ctx.f_load + G.T @ state.phi
     u = np.zeros(2 * mesh.node_count)
-    u[free] = grid.solve_linear(A, rhs[free], factor=factor)
+    u[free] = grid.solve_linear(A, rhs[free], solve)
     state.u = u
     return state
 
@@ -473,15 +468,17 @@ def alternating_minimization(
     given depth (0 = plain iteration). The outer loop stops on the full
     coupled residual, the phase-field block on its own, both by the same
     ``stopping`` rule; the block has at most ``_INNER_MAX_ITER[chord]``
-    passes. The exact block Newton solves share the ``LaggedLU``
-    ``lagged`` (a fresh one if not given). With ``track_potential`` the
-    report's ``potential_history`` holds the step potential of every iterate
-    whose residual was evaluated.
+    passes. The block's Newton solve is chosen once per call: with
+    ``chord`` the LU of the block Jacobian at phi^{n-1} (``_chord``), held
+    for this call, which is one time step; otherwise exact Newton, whose
+    solves share the ``LaggedLU`` ``lagged`` (a fresh one if not given).
+    With ``track_potential`` the report's ``potential_history`` holds the
+    step potential of every iterate whose residual was evaluated.
     """
     nn = ctx.mesh.node_count
     stopping = stopping or StoppingRule()
     window = AndersonWindow(anderson_depth)
-    lagged = LaggedLU() if lagged is None else lagged
+    solve = _chord(ctx) if chord else _exact(_ch_jacobian, ctx, lagged)
     potentials = []
 
     def residual(state):
@@ -499,7 +496,7 @@ def alternating_minimization(
         x_old = state.pack()
         state, inner = newton_ch_block(
             ctx, state, r=r[: 2 * nn], stopping=stopping,
-            max_iter=_INNER_MAX_ITER[chord], chord=chord, lagged=lagged,
+            max_iter=_INNER_MAX_ITER[chord], solve=solve,
         )
         if not inner.converged:
             raise _StepFailed(f"phase-field block failed: {inner.reason}")

@@ -264,6 +264,28 @@ class TestCli:
         harness.write_vtk(want, mesh, harness.initial_state(mesh, config), "initial")
         assert (tmp_path / "o" / "snapshot_initial.vtk").read_text() == want.read_text()
 
+    @pytest.mark.parametrize("config_dir, flag_dir, want", [
+        ("mine", None, "mine"), ("mine", "flag", "flag"), (None, None, "out"),
+    ])
+    def test_output_directory(self, tmp_path, monkeypatch, capsys, config_dir, flag_dir, want):
+        # --out overrides the config file's out_dir, which overrides the
+        # RunConfig default.
+        from cahnlarche import cli
+
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "--n", "4", "--t-final", "1e-5"]
+        if config_dir is not None:
+            cfg = tmp_path / "c.ini"
+            cfg.write_text(harness.RunConfig(out_dir=config_dir).to_text())
+            argv += ["--config", str(cfg)]
+        if flag_dir is not None:
+            argv += ["--out", flag_dir]
+        assert cli.main(argv) == 0
+        assert f"outputs written to {want}\n" in capsys.readouterr().out
+        written = {p.name for p in tmp_path.iterdir() if p.is_dir()}
+        assert written == {want}
+        assert (tmp_path / want / "run.json").exists()
+
     def test_failed_run_writes_strict_json(self, tmp_path):
         # A run that fails at step 1 has no average iteration count; run.json
         # says so with null, since JSON has no NaN.

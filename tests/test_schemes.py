@@ -260,7 +260,8 @@ def test_residual_matches_quadrature_form(kind):
     stiffness tensors block by block: the matvec residual of the homogeneous
     and semi-implicit schemes, including the explicit coupling term of the
     previous state, which the finite-difference Jacobian cannot see, and
-    the implicit scheme's stress and elastic derivative from pi."""
+    the implicit scheme's stress and elastic derivative from pi.
+    ``ch_residual`` is the residual's (phi, mu) rows bit for bit."""
     mesh = grid.build_mesh(5)
     rng = np.random.Generator(np.random.PCG64(17))
     law = materials.ElasticLaw(xi=0.8, heterogeneous=kind != "homogeneous")
@@ -281,8 +282,8 @@ def test_residual_matches_quadrature_form(kind):
         for block in (slice(0, nn), slice(nn, 2 * nn), slice(2 * nn, 4 * nn)):
             tol = 1e-12 * np.abs(want[block]).max()
             assert np.abs(got[block] - want[block]).max() <= tol
-            if block.stop <= 2 * nn:
-                assert np.abs(got_ch[block] - want[block]).max() <= tol
+        # one kernel: the phase-field rows are the same computation
+        assert np.array_equal(got_ch, got[: 2 * nn])
 
 
 @pytest.mark.parametrize("heterogeneous", [True, False])

@@ -256,7 +256,8 @@ class TestSaddleForm:
             solvers, "_ch_jacobian", lambda st, c: self.singular(jac(st, c))
         )
         r = schemes.ch_residual(state, ctx)
-        _, rep = solvers.newton_ch_block(ctx, state, r=r, chord=chord)
+        solve = solvers._chord(ctx) if chord else None
+        _, rep = solvers.newton_ch_block(ctx, state, r=r, solve=solve)
         assert not rep.converged
         assert rep.reason.startswith("linear solve failed")
 
@@ -471,6 +472,30 @@ class TestRunLongLaggedLU:
 
 
 class TestElasticityBlock:
+    @pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
+    def test_failed_factorization_is_reported(self, kind, monkeypatch):
+        # SuperLU failing on the elasticity matrix, the only one factored
+        # with its default options, ends the run at step 1 with the reason,
+        # for the LU held for the step (or the run) as for the implicit
+        # scheme's LU of every call.
+        import scipy.sparse.linalg as spla
+
+        splu = spla.splu
+
+        def failing(A, **options):
+            if not options:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(A, **options)
+
+        monkeypatch.setattr(spla, "splu", failing)
+        summary = harness.run_simulation(
+            harness.RunConfig(n=8, t_final=2e-5, scheme=kind, strategy="alternating")
+        )
+        assert summary.failed_at_step == 1
+        assert summary.failure_reason == (
+            "elasticity solve failed: factorization failed: Factor is exactly singular"
+        )
+
     def test_zero_phi_zero_force(self):
         ctx, prev = midsplit_ctx()
         state = schemes.State.zeros(ctx.mesh)
@@ -605,6 +630,23 @@ class TestAlternatingMinimization:
         p = np.array(rep.potential_history)
         slack = 1e-10 * max(1.0, np.abs(p).max())
         assert np.all(np.diff(p) <= slack), np.diff(p)
+
+    @pytest.mark.parametrize("kind", ["homogeneous", "semi_implicit"])
+    def test_chord_factors_one_lu_per_step(self, kind, monkeypatch):
+        # The chord's LU is made once per time step and held for all of the
+        # step's outer iterations.
+        factor_saddle, factors = solvers._factor_saddle, []
+        monkeypatch.setattr(
+            solvers, "_factor_saddle", lambda S: factors.append(1) or factor_saddle(S)
+        )
+        summary = harness.run_simulation(
+            harness.RunConfig(
+                n=8, t_final=4e-5, scheme=kind, strategy="alternating", chord=True
+            )
+        )
+        assert summary.completed and len(summary.steps) == 5
+        assert min(s.loops for s in summary.steps[1:]) > 1
+        assert len(factors) == 4
 
     def test_chord_matches_exact_newton_solution(self):
         ctx, prev = midsplit_ctx()
