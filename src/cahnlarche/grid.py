@@ -202,17 +202,23 @@ class SaddlePattern:
     (``Mesh.pattern`` "scalar" for the four (phi, mu) blocks, "coupling" for
     ``mu_u`` and, transposed, ``u_phi``, "vector" for ``u_u``), its entry in
     S's data; entries on a constrained dof go to the spare entry ``nnz``.
-    The (phi, mu) block alone has the first four blocks.
+    ``gather`` is the other direction: S's k-th entry is entry ``gather[k]``
+    of the blocks' data concatenated in the order of ``slots``. The (phi, mu)
+    block alone has the first four blocks.
     """
 
     shape: tuple
     indptr: np.ndarray
     indices: np.ndarray
     slots: dict
+    gather: np.ndarray
     order: np.ndarray
     nodes: int
     # row scales per tau (``row_scales``)
     _scales: dict = field(default_factory=dict, repr=False, compare=False)
+    # the scaled block data of the latest ``matrix`` call, concatenated; kept
+    # so that a call allocates only S's data
+    _source: np.ndarray = field(default=None, repr=False, compare=False)
 
     @classmethod
     def of(cls, mesh, full):
@@ -247,17 +253,24 @@ class SaddlePattern:
         slot[S.data.astype(np.int64)] = np.arange(S.nnz)
         ends = np.cumsum([ids[name].nnz for name in kinds])[:-1]
         slots = dict(zip(kinds, np.split(slot[1:], ends)))
-        S.indptr.flags.writeable = S.indices.flags.writeable = False
-        return cls(S.shape, S.indptr, S.indices, slots, order, nn)
+        gather = S.data.astype(np.int64) - 1
+        for a in (S.indptr, S.indices, gather):
+            a.flags.writeable = False
+        return cls(
+            S.shape, S.indptr, S.indices, slots, gather, order, nn, _source=np.empty(start - 1)
+        )
 
     def matrix(self, blocks, tau):
         """S, from the data ``blocks[name]`` of J's block ``name`` in J's own
         rows: the phi rows are scaled by ``tau``, the u rows by -1."""
         scale = {"phi_phi": tau, "phi_mu": tau, "u_phi": -1.0, "u_u": -1.0}
-        data = np.empty(self.indices.size + 1)
-        for name, values in blocks.items():
-            data[self.slots[name]] = scale[name] * values if name in scale else values
-        return sp.csc_matrix((data[:-1], self.indices, self.indptr), shape=self.shape)
+        start = 0
+        for name, slot in self.slots.items():
+            end = start + slot.size
+            np.multiply(blocks[name], scale.get(name, 1.0), out=self._source[start:end])
+            start = end
+        data = self._source[self.gather]
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
 
     def rows(self, b, tau):
         """A vector ``b`` in J's (phi, mu[, u]) rows, in S's rows: paired

@@ -193,6 +193,7 @@ class StepRecord:
     time: float
     iterations: int  # effective (state-changing) iterations
     loops: int  # executed loop passes including the confirming pass
+    inner_loops: int  # phase-field block passes of AM (0 for monolithic)
     converged: bool
     residual: float
     energy_total: float
@@ -252,7 +253,7 @@ def run_simulation(config, callback=None, estimate_bound=False):
     if config.strategy == "alternating":
         kwargs.update(anderson_depth=config.anderson_depth, chord=config.chord)
 
-    record0 = _make_record(0, 0.0, 0, 0, True, 0.0, state, params, M)
+    record0 = _make_record(0, 0.0, 0, 0, 0, True, 0.0, state, params, M)
     summary.steps.append(record0)
 
     for k in range(1, n_steps + 1):
@@ -274,6 +275,7 @@ def run_simulation(config, callback=None, estimate_bound=False):
                 k * config.tau,
                 report.effective_iterations,
                 report.iterations,
+                report.inner_iterations,
                 True,
                 res,
                 state,
@@ -287,7 +289,9 @@ def run_simulation(config, callback=None, estimate_bound=False):
     return summary
 
 
-def _make_record(step, time, iterations, loops, converged, residual, state, params, M):
+def _make_record(
+    step, time, iterations, loops, inner_loops, converged, residual, state, params, M
+):
     e = schemes.free_energy(state, params)
     mass = float(np.ones_like(state.phi) @ (M @ state.phi))
     return StepRecord(
@@ -295,6 +299,7 @@ def _make_record(step, time, iterations, loops, converged, residual, state, para
         time=time,
         iterations=iterations,
         loops=loops,
+        inner_loops=inner_loops,
         converged=converged,
         residual=residual,
         energy_total=e.total,
@@ -354,9 +359,9 @@ def write_outputs(summary, out_dir, mesh=None, snapshots=()):
             )
     with open(os.path.join(out_dir, "iterations.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["step", "time", "iterations", "loops", "residual"])
+        w.writerow(["step", "time", "iterations", "loops", "inner_loops", "residual"])
         for s in summary.steps[1:]:
-            w.writerow([s.step, s.time, s.iterations, s.loops, s.residual])
+            w.writerow([s.step, s.time, s.iterations, s.loops, s.inner_loops, s.residual])
 
     average = summary.average_iterations
     meta = {
@@ -366,6 +371,7 @@ def write_outputs(summary, out_dir, mesh=None, snapshots=()):
         "failure_reason": summary.failure_reason,
         # JSON has no NaN: a run without a completed step has no average
         "average_iterations": average if np.isfinite(average) else None,
+        "inner_loops": sum(s.inner_loops for s in summary.steps),
     }
     if summary.constants is not None:
         meta["constants"] = asdict(summary.constants)

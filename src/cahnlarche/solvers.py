@@ -13,9 +13,12 @@ loop keeps the report, measures increments in L2, and stops once at least
 one residual criterion (absolute or relative) and at least one increment
 criterion hold simultaneously, all four with the one tolerance of the
 ``StoppingRule``. The phase-field block of alternating minimization stops
-on the outer loop's rule, within at most 50 passes, or 200 with the chord
-(``_INNER_MAX_ITER``). Failure to converge is a reported outcome, not an
-exception.
+on the residual half of the outer loop's rule when its Newton is exact
+(``_ResidualRule``: once Newton converges quadratically, a residual below
+the tolerance needs no confirming pass), and on the whole rule with the
+chord, whose frozen Jacobian converges only linearly; it has at most 50
+passes, or 200 with the chord (``_INNER_MAX_ITER``). Failure to converge is
+a reported outcome, not an exception.
 
 Both Newton iterations take one step (``_newton_step``) with a linear
 solve chosen once per solver call. Every Newton matrix (monolithic, phase-field block,
@@ -83,6 +86,16 @@ class StoppingRule:
         return self.residual_ok(res, res0) and self.increment_ok(inc, inc_first)
 
 
+class _ResidualRule(StoppingRule):
+    """The residual half of ``StoppingRule``: the absolute or the relative
+    residual criterion, with the same ``tol``; increments are not tested.
+    Stops exact Newton on the phase-field block (Deuflhard 2004, Newton
+    Methods for Nonlinear Problems)."""
+
+    def satisfied(self, res, res0, inc, inc_first):
+        return self.residual_ok(res, res0)
+
+
 @dataclass
 class SolveReport:
     """Outcome of one nonlinear solve.
@@ -101,6 +114,7 @@ class SolveReport:
     potential_history: list = field(default_factory=list)
     reason: str = ""
     increment_floor: float = 1e-6
+    inner_iterations: int = 0  # alternating minimization's block passes
 
     @property
     def effective_iterations(self):
@@ -466,20 +480,26 @@ def alternating_minimization(
     displacement, then the elasticity block at the new phase field. The
     concatenated iterate may then be mixed by Anderson acceleration of the
     given depth (0 = plain iteration). The outer loop stops on the full
-    coupled residual, the phase-field block on its own, both by the same
-    ``stopping`` rule; the block has at most ``_INNER_MAX_ITER[chord]``
-    passes. The block's Newton solve is chosen once per call: with
-    ``chord`` the LU of the block Jacobian at phi^{n-1} (``_chord``), held
-    for this call, which is one time step; otherwise exact Newton, whose
-    solves share the ``LaggedLU`` ``lagged`` (a fresh one if not given).
-    With ``track_potential`` the report's ``potential_history`` holds the
-    step potential of every iterate whose residual was evaluated.
+    coupled residual by the ``stopping`` rule. The block's Newton solve and
+    its rule are chosen once per call: with ``chord`` the LU of the block
+    Jacobian at phi^{n-1} (``_chord``), held for this call, which is one
+    time step, and the whole ``stopping`` rule; otherwise exact Newton,
+    whose solves share the ``LaggedLU`` ``lagged`` (a fresh one if not
+    given), and the residual half of ``stopping`` (``_ResidualRule``), so
+    the block stops at its first pass whose residual meets the test. The
+    block has at most ``_INNER_MAX_ITER[chord]`` passes; the report's
+    ``inner_iterations`` totals them. With ``track_potential`` the
+    report's ``potential_history`` holds the step potential of every
+    iterate whose residual was evaluated.
     """
     nn = ctx.mesh.node_count
     stopping = stopping or StoppingRule()
     window = AndersonWindow(anderson_depth)
-    solve = _chord(ctx) if chord else _exact(_ch_jacobian, ctx, lagged)
-    potentials = []
+    if chord:
+        solve, inner_rule = _chord(ctx), stopping
+    else:
+        solve, inner_rule = _exact(_ch_jacobian, ctx, lagged), _ResidualRule(stopping.tol)
+    potentials, inner_passes = [], []
 
     def residual(state):
         r = schemes.residual(state, ctx)
@@ -495,9 +515,10 @@ def alternating_minimization(
     def step(state, r):
         x_old = state.pack()
         state, inner = newton_ch_block(
-            ctx, state, r=r[: 2 * nn], stopping=stopping,
+            ctx, state, r=r[: 2 * nn], stopping=inner_rule,
             max_iter=_INNER_MAX_ITER[chord], solve=solve,
         )
+        inner_passes.append(inner.iterations)
         if not inner.converged:
             raise _StepFailed(f"phase-field block failed: {inner.reason}")
         try:
@@ -512,6 +533,7 @@ def alternating_minimization(
         max_iter, "maximum outer iterations reached",
     )
     report.potential_history = potentials
+    report.inner_iterations = sum(inner_passes)
     return state, report
 
 

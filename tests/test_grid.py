@@ -344,6 +344,25 @@ def test_saddle_pattern_matches_sorted_pairs(n, full):
 
 
 @pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_saddle_matrix_gather_equals_scatter(n, full):
+    # matrix() gathers the scaled block data through one index; the
+    # reference scatters each scaled block into S's data through its slots
+    mesh = grid.build_mesh(n)
+    p = mesh.saddle_pattern(full)
+    rng = np.random.Generator(np.random.PCG64(n))
+    blocks = {name: rng.normal(size=slot.size) for name, slot in p.slots.items()}
+    tau = 1e-5
+    scale = {"phi_phi": tau, "phi_mu": tau, "u_phi": -1.0, "u_u": -1.0}
+    data = np.empty(p.indices.size + 1)
+    for name, values in blocks.items():
+        data[p.slots[name]] = scale[name] * values if name in scale else values
+    S = p.matrix(blocks, tau)
+    assert np.array_equal(S.indptr, p.indptr) and np.array_equal(S.indices, p.indices)
+    assert np.array_equal(S.data, data[:-1])
+
+
+@pytest.mark.parametrize("full", [False, True])
 def test_saddle_vector_maps(full):
     # rows() pairs and scales J's rows as in the saddle matrix; unknowns()
     # undoes the column order, with zeros on the constrained dofs

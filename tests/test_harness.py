@@ -165,6 +165,14 @@ class TestRunSimulation:
         assert np.array_equal(a.energies, b.energies)
         assert a.steps == b.steps
 
+    def test_inner_loops_recorded_per_step(self):
+        am = harness.run_simulation(harness.RunConfig(n=8, t_final=2e-5))
+        newton = harness.run_simulation(
+            harness.RunConfig(n=8, t_final=2e-5, strategy="monolithic")
+        )
+        assert all(s.inner_loops >= s.loops > 0 for s in am.steps[1:])
+        assert all(s.inner_loops == 0 for s in newton.steps)
+
     def test_estimate_bound_attaches_constants(self):
         cfg = harness.RunConfig(n=8, t_final=2e-5)
         s = harness.run_simulation(cfg, estimate_bound=True)
@@ -187,11 +195,19 @@ class TestOutputs:
             summary.steps[0].energy_total
         )
         with open(os.path.join(cfg.out_dir, "iterations.csv")) as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == [
+            "step", "time", "iterations", "loops", "inner_loops", "residual"
+        ]
         assert len(rows) == len(summary.steps) - 1
+        # AM's phase-field block takes at least one pass per outer pass
+        inner = [int(row["inner_loops"]) for row in rows]
+        assert all(i >= int(row["loops"]) for i, row in zip(inner, rows))
         with open(os.path.join(cfg.out_dir, "run.json")) as fh:
             meta = json.load(fh)
         assert meta["completed"]
+        assert meta["inner_loops"] == sum(inner)
         assert "constants" in meta and "rate_bound" in meta
         assert meta["config"]["n"] == 8
 

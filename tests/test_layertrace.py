@@ -57,3 +57,28 @@ def test_every_expected_span_fires(bench_run, tmp_path, name):
     metrics = bench_run.layer_metrics(tracer, sim, cfg.strategy)
     # every elasticity solve, frozen LU or not, goes through the checked solve
     assert metrics["grid.solve_linear.calls"][0] > 0
+
+
+# LU, LU-solve and phase-field block pass counts of traced n = 8, 2-step runs
+# at seed 7. The exact phase-field block's stopping rule is not on the
+# chord's or monolithic Newton's path, so a change to it leaves these fixed.
+UNCHANGED_COUNTS = {
+    "chord-n32": {
+        "splu.factor.count": 3, "splu.solve.count": 54,
+        "solvers.newton_ch_block.iterations": 43,
+    },
+    "spinodal-newton-n32": {
+        "splu.factor.count": 4, "splu.solve.count": 34,
+        "solvers.newton_ch_block.iterations": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNCHANGED_COUNTS))
+def test_chord_and_monolithic_counts_unchanged(bench_run, tmp_path, name):
+    cfg = workloads.make_config(name, 7, str(tmp_path), steps=2, n=8)
+    tracer = bench_run.layertrace.Tracer()
+    sim = bench_run.run_simulation(cahnlarche, cfg, tracer)
+    metrics = bench_run.layer_metrics(tracer, sim, cfg.strategy)
+    got = {key: metrics[key][0] for key in UNCHANGED_COUNTS[name]}
+    assert got == UNCHANGED_COUNTS[name]

@@ -593,20 +593,53 @@ class TestAlternatingMinimization:
         assert rep.converged
         assert rep.residual_norms[-1] <= 1e-6
 
-    @pytest.mark.parametrize("chord, cap", [(False, 50), (True, 200)])
-    def test_phase_field_block_gets_the_outer_rule(self, monkeypatch, chord, cap):
-        ctx, prev = midsplit_ctx()
+    @staticmethod
+    def record_blocks(monkeypatch):
+        """(stopping, max_iter, report) of every phase-field block solve."""
         seen, block = [], solvers.newton_ch_block
 
         def recording(ctx, state, **kwargs):
-            seen.append((kwargs["stopping"], kwargs["max_iter"]))
-            return block(ctx, state, **kwargs)
+            state, rep = block(ctx, state, **kwargs)
+            seen.append((kwargs["stopping"], kwargs["max_iter"], rep))
+            return state, rep
 
         monkeypatch.setattr(solvers, "newton_ch_block", recording)
+        return seen
+
+    def test_chord_block_gets_the_outer_rule(self, monkeypatch):
+        ctx, prev = midsplit_ctx()
+        seen = self.record_blocks(monkeypatch)
         rule = solvers.StoppingRule(1e-7)
-        _, rep = solvers.alternating_minimization(ctx, prev, stopping=rule, chord=chord)
+        _, rep = solvers.alternating_minimization(ctx, prev, stopping=rule, chord=True)
         assert rep.converged and seen
-        assert all(stopping is rule and max_iter == cap for stopping, max_iter in seen)
+        assert all(stopping is rule and cap == 200 for stopping, cap, _ in seen)
+
+    def test_exact_block_gets_the_residual_half_of_the_outer_rule(self, monkeypatch):
+        ctx, prev = midsplit_ctx()
+        seen = self.record_blocks(monkeypatch)
+        rule = solvers.StoppingRule(1e-7)
+        _, rep = solvers.alternating_minimization(ctx, prev, stopping=rule)
+        assert rep.converged and seen
+        for stopping, cap, _ in seen:
+            assert type(stopping) is solvers._ResidualRule
+            assert stopping.tol == rule.tol and cap == 50
+        # the residual test alone: a huge increment does not stop it
+        assert stopping.satisfied(1e-7, 1.0, (5.0, 5.0), (1.0, 1.0))
+        assert not stopping.satisfied(1e-6, 1.0, (0.0, 0.0), (1.0, 1.0))
+
+    def test_exact_block_stops_at_its_first_passing_residual(self, monkeypatch):
+        # no confirming pass: every pass residual before the last fails the
+        # residual test, so no block ends with two passing residuals
+        ctx, prev = midsplit_ctx()
+        seen = self.record_blocks(monkeypatch)
+        _, rep = solvers.alternating_minimization(ctx, prev)
+        assert rep.converged and seen
+        rule = solvers.StoppingRule()
+        for _, _, block in seen:
+            r = block.residual_norms
+            assert block.converged and rule.residual_ok(r[-1], r[0])
+            assert not any(rule.residual_ok(res, r[0]) for res in r[1:-1]), r
+        assert rep.inner_iterations == sum(block.iterations for _, _, block in seen)
 
     def test_tight_tolerance_reaches_every_solve(self):
         ctx, prev = midsplit_ctx(n=8)
@@ -623,6 +656,23 @@ class TestAlternatingMinimization:
         M = ctx.mesh.mass
         d = s_am.phi - s_nw.phi
         assert np.sqrt(d @ (M @ d)) <= 1e-5
+
+    @pytest.mark.parametrize("gamma, xi", [(1.0, 1.0), (5.0, 0.01), (5.0, 2.0)])
+    def test_agrees_with_monolithic_along_steps(self, gamma, xi):
+        # criterion 7's 1e-5 L2 bound on phi, where an inexact block solve
+        # could show: slow AM (gamma = 1), weak and strong coupling
+        ctx, state = midsplit_ctx(n=16, gamma=gamma, xi=xi)
+        M = ctx.mesh.mass
+        for _ in range(3):
+            s_nw, r1 = solvers.newton_monolithic(ctx, state)
+            s_am, r2 = solvers.alternating_minimization(ctx, state)
+            assert r1.converged and r2.converged
+            d = s_nw.phi - s_am.phi
+            assert np.sqrt(d @ (M @ d)) <= 1e-5
+            state = s_nw
+            ctx = schemes.SchemeContext(
+                prev=state, params=ctx.params, scheme_kind=ctx.scheme_kind
+            )
 
     def test_potential_descent(self):
         ctx, prev = midsplit_ctx(n=12)
