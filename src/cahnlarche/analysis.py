@@ -39,14 +39,14 @@ def dual_norm(s, mesh, mobility=1.0, mean_tol=1e-8):
             f"dual norm needs a mean-zero datum; integral = {total:.3e}"
         )
 
-    key = ("dual_factor", float(mobility))
-    if key not in mesh._cache:
-        mK = mobility * K
+    def build():
         a = M @ np.ones(mesh.node_count)
-        A = sp.bmat([[mK, a[:, None]], [a[None, :], None]], format="csc")
-        mesh._cache[key] = grid.factorize(A)
+        A = sp.bmat([[mobility * K, a[:, None]], [a[None, :], None]], format="csc")
+        return grid.factorize(A)
+
+    solve = mesh.cached(("dual_factor", float(mobility)), build)
     rhs = np.concatenate([rhs_s - total / area * (M @ np.ones(mesh.node_count)), [0.0]])
-    v = mesh._cache[key](rhs)[:-1]
+    v = solve(rhs)[:-1]
     val = mobility * float(v @ (K @ v))
     return float(np.sqrt(max(val, 0.0)))
 

@@ -351,12 +351,13 @@ class Mesh:
         """Row q is the element matrix w_q B_q^T C B_q of the constant Voigt
         tensor C at quadrature point q, (nq, 64); built once per C."""
         C = np.asarray(C, dtype=float)
-        key = ("elasticity_basis", C.tobytes())
-        if key not in self._cache:
+
+        def build():
             B = self.b_matrices
             basis = np.einsum("q,qca,cd,qdb->qab", self.qp_weights, B, C, B)
-            self._cache[key] = basis.reshape(B.shape[0], -1)
-        return self._cache[key]
+            return basis.reshape(B.shape[0], -1)
+
+        return self.cached(("elasticity_basis", C.tobytes()), build)
 
     @cached_property
     def coupling_basis(self):
@@ -382,20 +383,20 @@ class Mesh:
         """Fixed CSR pattern of "scalar" (4x4 element matrices), "vector"
         (8x8, elasticity) or "coupling" (4x8, scalar rows, u columns)
         assembly, built on first use."""
-        key = ("pattern", kind)
-        if key not in self._cache:
-            if kind == "scalar":
-                self._cache[key] = _stencil_pattern(self)
-            else:
-                self._cache[key] = _dof_pattern(self, kind)
-        return self._cache[key]
+        if kind == "scalar":
+            return self.cached(("pattern", kind), lambda: _stencil_pattern(self))
+        return self.cached(("pattern", kind), lambda: _dof_pattern(self, kind))
 
     def saddle_pattern(self, full):
         """CSC pattern of the saddle matrix of the (phi, mu) block or, with
         ``full``, of the whole system; built on first use (``SaddlePattern``)."""
-        key = ("saddle_pattern", bool(full))
+        full = bool(full)
+        return self.cached(("saddle_pattern", full), lambda: SaddlePattern.of(self, full))
+
+    def cached(self, key, build):
+        """``build()``, kept on the mesh under ``key``, a tuple naming its inputs."""
         if key not in self._cache:
-            self._cache[key] = SaddlePattern.of(self, full)
+            self._cache[key] = build()
         return self._cache[key]
 
     @cached_property

@@ -177,9 +177,9 @@ def init_random(mesh, seed):
 def initial_state(mesh, config):
     state = State.zeros(mesh)
     if config.init == "midsplit":
-        state.phi = init_midsplit(mesh, config.ell)
+        state.phi[:] = init_midsplit(mesh, config.ell)
     else:
-        state.phi = init_random(mesh, config.seed)
+        state.phi[:] = init_random(mesh, config.seed)
     return state
 
 
@@ -245,7 +245,6 @@ def run_simulation(config, callback=None, estimate_bound=False):
         summary.constants = analysis.estimate_constants(mesh, mobility=config.m)
         summary.bound = analysis.rate_bound(params, summary.constants)
 
-    M = mesh.mass
     n_steps = int(round(config.t_final / config.tau))
     kwargs = dict(
         stopping=stopping, max_iter=config.max_iterations, lagged=solvers.LaggedLU()
@@ -253,7 +252,7 @@ def run_simulation(config, callback=None, estimate_bound=False):
     if config.strategy == "alternating":
         kwargs.update(anderson_depth=config.anderson_depth, chord=config.chord)
 
-    record0 = _make_record(0, 0.0, 0, 0, 0, True, 0.0, state, params, M)
+    record0 = _make_record(0, 0.0, 0, 0, 0, 0.0, state, params)
     summary.steps.append(record0)
 
     for k in range(1, n_steps + 1):
@@ -276,11 +275,9 @@ def run_simulation(config, callback=None, estimate_bound=False):
                 report.effective_iterations,
                 report.iterations,
                 report.inner_iterations,
-                True,
                 res,
                 state,
                 params,
-                M,
             )
         )
         if callback is not None:
@@ -289,18 +286,16 @@ def run_simulation(config, callback=None, estimate_bound=False):
     return summary
 
 
-def _make_record(
-    step, time, iterations, loops, inner_loops, converged, residual, state, params, M
-):
+def _make_record(step, time, iterations, loops, inner_loops, residual, state, params):
     e = schemes.free_energy(state, params)
-    mass = float(np.ones_like(state.phi) @ (M @ state.phi))
+    mass = float(np.ones_like(state.phi) @ (state.mesh.mass @ state.phi))
     return StepRecord(
         step=step,
         time=time,
         iterations=iterations,
         loops=loops,
         inner_loops=inner_loops,
-        converged=converged,
+        converged=True,
         residual=residual,
         energy_total=e.total,
         energy_chemical=e.chemical,

@@ -45,30 +45,32 @@ class DivergedIterateError(Exception):
     """Residual evaluation hit non-finite values."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class State:
-    """Nodal coefficients (phi, mu, u) at one time level."""
+    """Nodal coefficients x = (phi, mu, u) at one time level; ``phi``,
+    ``mu`` and ``u`` are views of its blocks, so writing them writes x."""
 
-    phi: np.ndarray
-    mu: np.ndarray
-    u: np.ndarray  # interleaved (ux_0, uy_0, ux_1, ...)
+    x: np.ndarray
     mesh: grid.Mesh
 
+    @property
+    def phi(self):
+        return self.x[: self.mesh.node_count]
+
+    @property
+    def mu(self):
+        return self.x[self.mesh.node_count : 2 * self.mesh.node_count]
+
+    @property
+    def u(self):  # interleaved (ux_0, uy_0, ux_1, ...)
+        return self.x[2 * self.mesh.node_count :]
+
     def copy(self):
-        return State(self.phi.copy(), self.mu.copy(), self.u.copy(), self.mesh)
-
-    def pack(self):
-        return np.concatenate([self.phi, self.mu, self.u])
-
-    @classmethod
-    def unpack(cls, x, mesh):
-        nn = mesh.node_count
-        return cls(x[:nn].copy(), x[nn : 2 * nn].copy(), x[2 * nn :].copy(), mesh)
+        return State(self.x.copy(), self.mesh)
 
     @classmethod
     def zeros(cls, mesh):
-        nn = mesh.node_count
-        return cls(np.zeros(nn), np.zeros(nn), np.zeros(2 * nn), mesh)
+        return cls(np.zeros(4 * mesh.node_count), mesh)
 
 
 @dataclass(frozen=True)
@@ -153,14 +155,12 @@ class SchemeContext:
         holding both and shared by every step of a run.
         """
         law = self.params.elastic
-        if law.heterogeneous:
-            cache, key = self._cache, name
-        else:
+        if not law.heterogeneous:
             c_minus = np.asarray(law.c_minus, dtype=float)
-            cache, key = self.mesh._cache, (name, law.xi, c_minus.tobytes())
-        if key not in cache:
-            cache[key] = build()
-        return cache[key]
+            return self.mesh.cached((name, law.xi, c_minus.tobytes()), build)
+        if name not in self._cache:
+            self._cache[name] = build()
+        return self._cache[name]
 
     @property
     def elastic_matrix_prev(self):

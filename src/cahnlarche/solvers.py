@@ -124,14 +124,12 @@ class SolveReport:
 
 def _l2_norms(mesh, dx):
     """L2 norms of the phi, mu and (if present) u blocks of an increment."""
-    M = mesh.mass
-    nn = mesh.node_count
-    dphi, dmu, du = dx[:nn], dx[nn : 2 * nn], dx[2 * nn :]
-    n_phi = np.sqrt(max(float(dphi @ (M @ dphi)), 0.0))
-    n_mu = np.sqrt(max(float(dmu @ (M @ dmu)), 0.0))
-    if du.size == 0:
+    M, d = mesh.mass, State(dx, mesh)
+    n_phi = np.sqrt(max(float(d.phi @ (M @ d.phi)), 0.0))
+    n_mu = np.sqrt(max(float(d.mu @ (M @ d.mu)), 0.0))
+    if d.u.size == 0:
         return (n_phi, n_mu)
-    ux, uy = du[0::2], du[1::2]
+    ux, uy = d.u[0::2], d.u[1::2]
     n_u = np.sqrt(max(float(ux @ (M @ ux)) + float(uy @ (M @ uy)), 0.0))
     return (n_phi, n_mu, n_u)
 
@@ -301,6 +299,9 @@ def _newton_solve(S, r, ctx, lagged=None):
     scales are ``grid.SaddlePattern.row_scales``. With the
     ``LaggedLU`` ``lagged`` holding an LU of S's size, GMRES preconditioned
     by it is tried first; S is factored only if its iterate fails the check.
+    A solve with the fresh LU that fails the check gets one step of
+    iterative refinement before the failure is raised: at tau <= 4e-7 the
+    LU alone can miss the check.
     """
     pattern = ctx.mesh.saddle_pattern(r.size > 2 * ctx.mesh.node_count)
     lagged = LaggedLU() if lagged is None else lagged
@@ -312,7 +313,12 @@ def _newton_solve(S, r, ctx, lagged=None):
             return pattern.unknowns(x, r.size)
         except grid.SingularSystemError:
             pass
-    x = grid.solve_linear(S, b, lagged.factor(S), row_scale=d)
+    lu = lagged.factor(S)
+    try:
+        x = grid.solve_linear(S, b, lu, row_scale=d)
+    except grid.SingularSystemError:
+        x0 = lu(b)
+        x = grid.solve_linear(S, b, lambda b: x0 + lu(b - S @ x0), row_scale=d)
     return pattern.unknowns(x, r.size)
 
 
@@ -326,8 +332,8 @@ def _exact(jacobian, ctx, lagged=None):
 
 def _newton_step(solve):
     """The step of both Newton solvers for ``_iterate``: the increment
-    dx = solve(state, r) of J dx = -r is added to the leading rows of the
-    packed iterate, all of them or the (phi, mu) rows of the block. A failed
+    dx = solve(state, r) of J dx = -r is added to the leading rows of a copy
+    of ``state.x``, all of them or the (phi, mu) rows of the block. A failed
     or non-finite solve ends the iteration."""
     def step(state, r):
         try:
@@ -336,9 +342,9 @@ def _newton_step(solve):
             raise _StepFailed(f"linear solve failed: {exc}") from exc
         if not np.all(np.isfinite(dx)):
             raise _StepFailed("linear solve failed: non-finite values")
-        x = state.pack()
+        x = state.x.copy()
         x[: dx.size] += dx
-        return State.unpack(x, state.mesh), dx
+        return State(x, state.mesh), dx
 
     return step
 
@@ -432,8 +438,8 @@ def solve_elasticity_block(ctx, state):
     ``c_minus`` for a homogeneous one. Either way ``grid.factorize`` makes
     the LU, so a failed factorization raises ``grid.SingularSystemError``;
     the system is solved on the free dofs by ``grid.solve_linear``, which
-    checks the residual, and u = 0 on the boundary. Updates state.u in
-    place.
+    checks the residual. Writes the free dofs of state.u in place; its
+    constrained dofs keep their values, zero in every solver's iterate.
     """
     mesh = ctx.mesh
     law = ctx.params.elastic
@@ -449,10 +455,7 @@ def solve_elasticity_block(ctx, state):
         solve = ctx.frozen_operator("elast_lu", lambda: grid.factorize(A))
         G = ctx.coupling_prev
     rhs = ctx.f_load + G.T @ state.phi
-    u = np.zeros(2 * mesh.node_count)
-    u[free] = grid.solve_linear(A, rhs[free], solve)
-    state.u = u
-    return state
+    state.u[free] = grid.solve_linear(A, rhs[free], solve)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +481,7 @@ def alternating_minimization(
 
     Each outer iteration solves the phase-field block by Newton at frozen
     displacement, then the elasticity block at the new phase field. The
-    concatenated iterate may then be mixed by Anderson acceleration of the
+    iterate ``state.x`` may then be mixed by Anderson acceleration of the
     given depth (0 = plain iteration). The outer loop stops on the full
     coupled residual by the ``stopping`` rule. The block's Newton solve and
     its rule are chosen once per call: with ``chord`` the LU of the block
@@ -492,7 +495,6 @@ def alternating_minimization(
     report's ``potential_history`` holds the step potential of every
     iterate whose residual was evaluated.
     """
-    nn = ctx.mesh.node_count
     stopping = stopping or StoppingRule()
     window = AndersonWindow(anderson_depth)
     if chord:
@@ -513,20 +515,20 @@ def alternating_minimization(
         return r
 
     def step(state, r):
-        x_old = state.pack()
+        x_old = state.x
         state, inner = newton_ch_block(
-            ctx, state, r=r[: 2 * nn], stopping=inner_rule,
+            ctx, state, r=r[: 2 * ctx.mesh.node_count], stopping=inner_rule,
             max_iter=_INNER_MAX_ITER[chord], solve=solve,
         )
         inner_passes.append(inner.iterations)
         if not inner.converged:
             raise _StepFailed(f"phase-field block failed: {inner.reason}")
         try:
-            state = solve_elasticity_block(ctx, state)
+            solve_elasticity_block(ctx, state)
         except grid.SingularSystemError as exc:
             raise _StepFailed(f"elasticity solve failed: {exc}") from exc
-        x_new = window.update(x_old, state.pack())
-        return State.unpack(x_new, ctx.mesh), x_new - x_old
+        x_new = window.update(x_old, state.x)
+        return State(x_new, ctx.mesh), x_new - x_old
 
     state, report = _iterate(
         _constrained_copy(ctx, initial), residual, step, stopping,

@@ -125,14 +125,16 @@ def test_criterion_3_gamma_trends():
 def test_criterion_4_xi_trends():
     """Semi-implicit split averages nondecreasing over xi in
     {0.01,0.1,0.5,1,1.5,2}; xi=0.01 average <= 1.5; implicit monolithic
-    behavior at xi in {1.5, 2} reported. n=32, 100 steps."""
+    behavior at xi in {1.5, 2} reported. n=32, 100 steps. The number of
+    steps whose free energy rises (ROADMAP item 2) is reported per xi."""
     xis = (0.01, 0.1, 0.5, 1.0, 1.5, 2.0)
-    avg = []
+    avg, rises = [], []
     for xi in xis:
         s = run(steps=100, scheme="semi_implicit", strategy="alternating",
                 gamma=5.0, xi=xi)
         assert s.completed
         avg.append(s.average_iterations)
+        rises.append(len(analysis.monotonicity_violations(s.energies, 1e-10)))
     nondec = np.all(np.diff(avg) >= -1e-12)
     small_ok = avg[0] <= 1.5
 
@@ -152,7 +154,8 @@ def test_criterion_4_xi_trends():
         "criterion 4", ok,
         f"averages {['%.3f' % v for v in avg]} nondecreasing={nondec}; "
         f"xi=0.01 avg {avg[0]:.3f} <= 1.5={small_ok}; implicit mono failed at "
-        f"step {impl_failures}",
+        f"step {impl_failures}; energy rises per xi {dict(zip(xis, rises))} "
+        "(reported, not gated)",
     )
 
 

@@ -280,6 +280,33 @@ class TestCli:
         harness.write_vtk(want, mesh, harness.initial_state(mesh, config), "initial")
         assert (tmp_path / "o" / "snapshot_initial.vtk").read_text() == want.read_text()
 
+    def test_run_snapshots_keep_their_step(self, tmp_path, monkeypatch, capsys):
+        # The snapshot cmd_run takes at a step holds that step's state after
+        # every later step has run.
+        from cahnlarche import cli
+
+        simulate, at_step, written = harness.run_simulation, {}, {}
+
+        def recording(config, callback=None, **kwargs):
+            def record(step, state, report):
+                at_step[f"{step:06d}"] = state.x.copy()
+                callback(step, state, report)
+
+            return simulate(config, callback=record, **kwargs)
+
+        def capture(summary, out_dir, mesh=None, snapshots=()):
+            written.update(snapshots)
+
+        monkeypatch.setattr(harness, "run_simulation", recording)
+        monkeypatch.setattr(harness, "write_outputs", capture)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(harness.RunConfig(n=8, t_final=4e-5, snapshot_every=1).to_text())
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(at_step) == 4
+        assert set(written) == set(at_step) | {"initial", "final"}
+        for name, x in at_step.items():
+            assert np.array_equal(written[name].x, x)
+
     @pytest.mark.parametrize("config_dir, flag_dir, want", [
         ("mine", None, "mine"), ("mine", "flag", "flag"), (None, None, "out"),
     ])

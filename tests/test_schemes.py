@@ -15,15 +15,17 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import cahnlarche as cl
-from cahnlarche import grid, materials, schemes
+from cahnlarche import grid, materials, schemes, solvers
 from cahnlarche.grid import I_VOIGT
 
 
 def random_state(mesh, rng, scale=1.0):
     return schemes.State(
-        rng.uniform(-1.5 * scale, 1.5 * scale, mesh.node_count),
-        rng.normal(0.0, scale, mesh.node_count),
-        rng.normal(0.0, 0.1 * scale, 2 * mesh.node_count),
+        np.concatenate([
+            rng.uniform(-1.5 * scale, 1.5 * scale, mesh.node_count),
+            rng.normal(0.0, scale, mesh.node_count),
+            rng.normal(0.0, 0.1 * scale, 2 * mesh.node_count),
+        ]),
         mesh,
     )
 
@@ -60,14 +62,14 @@ def per_point_coupling(mesh, vec):
 
 
 def fd_jacobian(state, ctx, eps=1e-6):
-    x0 = state.pack()
+    x0 = state.x
     J = np.empty((x0.size, x0.size))
     for j in range(x0.size):
         xp, xm = x0.copy(), x0.copy()
         xp[j] += eps
         xm[j] -= eps
-        rp = schemes.residual(schemes.State.unpack(xp, ctx.mesh), ctx)
-        rm = schemes.residual(schemes.State.unpack(xm, ctx.mesh), ctx)
+        rp = schemes.residual(schemes.State(xp, ctx.mesh), ctx)
+        rm = schemes.residual(schemes.State(xm, ctx.mesh), ctx)
         J[:, j] = (rp - rm) / (2 * eps)
     return J
 
@@ -168,10 +170,13 @@ def jacobian_cases(draw, kind):
     xi = draw(st.sampled_from([0.5, 1.0, 2.0]))
     law = materials.ElasticLaw(xi=xi, heterogeneous=kind != "homogeneous")
     params = materials.ModelParams(gamma=5.0, elastic=law)
-    prev = schemes.State(field(nn, 1.5), field(nn, 3.0), field(2 * nn, 0.2), mesh)
+    prev = schemes.State(
+        np.concatenate([field(nn, 1.5), field(nn, 3.0), field(2 * nn, 0.2)]), mesh
+    )
     ctx = schemes.SchemeContext(prev=prev, params=params, scheme_kind=kind)
     state = schemes.State(
-        field(nn, 2.5, phi=True), field(nn, 3.0), field(2 * nn, 0.2), mesh
+        np.concatenate([field(nn, 2.5, phi=True), field(nn, 3.0), field(2 * nn, 0.2)]),
+        mesh,
     )
     assume(away_from_kinks(grid.scalar_at_qp(mesh, state.phi), theta))
     return ctx, state
@@ -189,6 +194,32 @@ def test_jacobian_matches_finite_differences_at_generated_states(kind, data):
     J = expand_saddle(state, ctx)
     Jfd = fd_jacobian(state, ctx)
     assert np.abs(J - Jfd).max() <= 1e-5 * np.abs(J).max()
+
+
+@pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
+@settings(
+    max_examples=30, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_newton_steps_conserve_mass_at_generated_states(kind, data):
+    """One exact monolithic Newton step, one exact phase-field block step
+    and one chord step from a hypothesis-generated state whose phi holds the
+    mass of phi^{n-1} keep that mass to criterion 8b's 1e-9: summed over
+    its phi rows, every Newton matrix is 1^T M / tau in the phi columns and
+    zero in the others."""
+    ctx, state = data.draw(jacobian_cases(kind))
+    M, ones = ctx.M, np.ones(ctx.mesh.node_count)
+    mass = lambda st_: float(ones @ (M @ st_.phi))
+    state.phi[:] += (mass(ctx.prev) - mass(state)) / float(ones @ (M @ ones))
+    r = schemes.ch_residual(state, ctx)
+    for new, rep in (
+        solvers.newton_monolithic(ctx, state, max_iter=1),
+        solvers.newton_ch_block(ctx, state, r=r, max_iter=1),
+        solvers.newton_ch_block(ctx, state, r=r, solve=solvers._chord(ctx), max_iter=1),
+    ):
+        assert len(rep.increment_norms) == 1, rep.reason
+        assert abs(mass(new) - mass(ctx.prev)) <= 1e-9
 
 
 def test_saddle_structure_semi_implicit():
@@ -250,7 +281,7 @@ def quadrature_residual(state, ctx):
 
     out = np.concatenate([r_phi, r_mu, r_u])
     c = 2 * ctx.mesh.node_count + ctx.mesh.constrained_u_dofs
-    out[c] = state.pack()[c]
+    out[c] = state.x[c]
     return out
 
 
@@ -454,9 +485,9 @@ class TestFreeEnergy:
         law = materials.ElasticLaw()
         params = materials.ModelParams(elastic=law)
         state = schemes.State.zeros(mesh)
-        state.phi = np.tanh((0.5 - mesh.nodes[:, 1]) / (np.sqrt(2) * params.ell))
+        state.phi[:] = np.tanh((0.5 - mesh.nodes[:, 1]) / (np.sqrt(2) * params.ell))
         rng = np.random.Generator(np.random.PCG64(2))
-        state.u = 0.01 * rng.normal(size=2 * mesh.node_count)
+        state.u[:] = 0.01 * rng.normal(size=2 * mesh.node_count)
         got = schemes.free_energy(state, params)
 
         # 2x2 tensor Gauss rule on the reference square
@@ -503,7 +534,7 @@ class TestStepPotential:
         law = materials.ElasticLaw()
         params = materials.ModelParams(elastic=law)
         prev = schemes.State.zeros(mesh)
-        prev.phi = np.tanh((0.5 - mesh.nodes[:, 1]) / (np.sqrt(2) * params.ell))
+        prev.phi[:] = np.tanh((0.5 - mesh.nodes[:, 1]) / (np.sqrt(2) * params.ell))
         ctx = schemes.SchemeContext(
             prev=prev, params=params, scheme_kind="semi_implicit"
         )
@@ -528,7 +559,7 @@ class TestStepPotential:
             prev=prev, params=params, scheme_kind="semi_implicit"
         )
         bad = prev.copy()
-        bad.phi = bad.phi + 0.5  # constant shift violates mass constraint
+        bad.phi[:] += 0.5  # constant shift violates mass constraint
         with pytest.raises(ValueError):
             schemes.step_potential(bad, ctx)
 
@@ -541,9 +572,11 @@ class TestStepPotential:
         params = materials.ModelParams(elastic=law)
         rng = np.random.Generator(np.random.PCG64(9))
         prev = schemes.State(
-            np.tanh((0.5 - mesh.nodes[:, 1]) / (np.sqrt(2) * params.ell)),
-            np.zeros(mesh.node_count),
-            0.01 * rng.normal(size=2 * mesh.node_count),
+            np.concatenate([
+                np.tanh((0.5 - mesh.nodes[:, 1]) / (np.sqrt(2) * params.ell)),
+                np.zeros(mesh.node_count),
+                0.01 * rng.normal(size=2 * mesh.node_count),
+            ]),
             mesh,
         )
         ctx = schemes.SchemeContext(
@@ -558,7 +591,7 @@ class TestStepPotential:
         d = rng.normal(size=mesh.node_count)
         ones = np.ones(mesh.node_count)
         d -= (ones @ (M @ d)) / (ones @ (M @ ones))
-        state.phi = prev.phi + 1e-3 * d
+        state.phi[:] = prev.phi + 1e-3 * d
 
         # analytic gradient: dF/dphi[i] = (v/tau, p_i) + dE_c/dphi[i] + ...
         # where v represents the dual-norm term; assembled as
@@ -575,14 +608,14 @@ class TestStepPotential:
         v = spla.splu(A).solve(np.concatenate([M @ s, [0.0]]))[:-1]
         # gradient of the remaining terms: evaluate r_mu with mu := -v/tau
         probe = state.copy()
-        probe.mu = -v / params.tau
+        probe.mu[:] = -v / params.tau
         r = schemes.ch_residual(probe, ctx)
         grad = -r[mesh.node_count :]  # = (dE/dphi, p_i) - (mu, p_i)... sign below
 
         eps = 1e-5
         sp_, sm_ = state.copy(), state.copy()
-        sp_.phi = state.phi + eps * d
-        sm_.phi = state.phi - eps * d
+        sp_.phi[:] = state.phi + eps * d
+        sm_.phi[:] = state.phi - eps * d
         fd = (
             schemes.step_potential(sp_, ctx, mean_tol=1e-6)
             - schemes.step_potential(sm_, ctx, mean_tol=1e-6)
