@@ -454,7 +454,7 @@ def scalar_at_qp(mesh, nodal):
 
 def gradient_at_qp(mesh, nodal):
     """Gradient of nodal scalar field at quadrature points, (n_elem, nq, 2)."""
-    return np.einsum("ei,qid->eqd", nodal[mesh.elements], mesh.phys_grads)
+    return np.tensordot(nodal[mesh.elements], mesh.phys_grads, axes=([1], [1]))
 
 
 def strain_at_qp(mesh, u):
@@ -515,18 +515,14 @@ def assemble_vector_elasticity(mesh, c, pi_qp=None, delta=None):
 def assemble_coupling(mesh, voigt_vec_qp):
     """Coupling matrix G[i, a] = int p_i * (v . B_a) dx.
 
-    voigt_vec_qp is a per-quadrature Voigt row vector, shape (n_elem, nq, 3)
-    or constant (3,). Maps u dofs (columns) to scalar test functions (rows).
-    Per quadrature point, the element matrices are one (n_elem, 3 nq) @
-    (3 nq, 32) product with ``Mesh.coupling_basis``.
+    voigt_vec_qp is a per-quadrature Voigt row vector, shape (n_elem, nq, 3),
+    or a constant (3,) one, which is broadcast to every point. Maps u dofs
+    (columns) to scalar test functions (rows). The element matrices are one
+    (n_elem, 3 nq) @ (3 nq, 32) product with ``Mesh.coupling_basis``.
     """
     v = np.asarray(voigt_vec_qp, dtype=float)
-    if v.ndim == 1:
-        N, B = mesh.shape_vals, mesh.b_matrices
-        elem = np.einsum("q,qi,c,qca->ia", mesh.qp_weights, N, v, B)
-        mats = np.broadcast_to(elem, (mesh.element_count, 4, 8))
-    else:
-        mats = v.reshape(v.shape[0], -1) @ mesh.coupling_basis
+    v = np.broadcast_to(v, (mesh.element_count, mesh.qp_weights.size, 3))
+    mats = v.reshape(mesh.element_count, -1) @ mesh.coupling_basis
     return mesh.pattern("coupling").assemble(mats)
 
 

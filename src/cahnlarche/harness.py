@@ -86,7 +86,7 @@ class RunConfig:
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {need}, got {getattr(self, name)!r}")
-        if self.scheme == "homogeneous":
+        if self.scheme == "homogeneous":  # from_text rejects an explicit true
             self.heterogeneous = False
         try:  # the model parameters are checked by the model's own rules
             self.build_params()
@@ -133,6 +133,11 @@ class RunConfig:
                     kwargs[k] = get(sec, k)
                 except ValueError as exc:
                     raise ConfigError(f"[{sec}] {k}: {exc}") from exc
+        if kwargs.get("scheme") == "homogeneous" and kwargs.get("heterogeneous"):
+            raise ConfigError(
+                "[discretization] scheme = homogeneous needs a homogeneous law, "
+                "but [model] heterogeneous = true"
+            )
         return cls(**kwargs)
 
     @classmethod

@@ -9,6 +9,8 @@ its derivatives are a scalar per point times a fixed tensor. The schemes
 use that: they evaluate ``ElasticLaw.weight`` (pi, pi', pi'') at the
 quadrature points and combine it with the fixed tensors (``swelling_row``,
 ``grid.assemble_vector_elasticity``), never forming a 3x3 tensor per point.
+A homogeneous law is the case pi = 0 (``weight`` returns zeros); only
+``tensor``, which the energies call, skips the sum and broadcasts C_minus.
 """
 
 from dataclasses import dataclass, field
@@ -99,9 +101,10 @@ class DoubleWell:
         """Largest difference quotient of Psi_c' on a grid of 20001 points
         over [-3, 3].
 
-        The stated bound 2*theta^2 applies on the quadratic tails; the quartic
+        The quadratic tails have Lipschitz constant 4 theta^2; the quartic
         branch reaches Psi_c'' = 12 theta^2 near |phi| = theta, so the measured
-        constant is larger. Reported as-is, never reconciled silently.
+        constant is larger (47.98 at theta = 2). Reported as-is, never
+        reconciled silently.
         """
         x = np.linspace(-3.0, 3.0, 20001)
         d = self.psi_c_prime(x)

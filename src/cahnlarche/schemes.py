@@ -14,8 +14,8 @@ All residuals use the sign conventions of the variational statements; at a
 fixed point mu equals the variational derivative of the free energy.
 Dirichlet rows of the displacement block are replaced by value residuals.
 Jacobians come in symmetric saddle form on the free dofs (``jacobian``).
-The free energy is evaluated on the 2x2 rule the residuals are assembled
-with, which is the discrete energy the schemes dissipate. A
+The free energy and the step potentials share one quadrature (``_energies``)
+on the 2x2 rule the residuals use: the discrete energy the schemes dissipate. A
 ``SchemeContext`` computes each previous-level field once
 (``cached_property``); operators built from C(phi^{n-1}) go through
 ``SchemeContext.frozen_operator``, which keeps them for the step or, for a
@@ -27,7 +27,8 @@ through the scalars pi, pi' and pi'' at the quadrature points
 stress is C_minus e + pi Delta C e, the elasticity block is assembled from
 pi (``grid.assemble_vector_elasticity``), the coupling from the rows
 xi (I.C_minus + pi I.Delta C) (``ElasticLaw.swelling_row``). No 3x3 tensor
-is formed per point.
+is formed per point. A homogeneous law is the case pi = 0, with no formulas
+of its own; its explicit elastic term is zero without evaluation.
 """
 
 from dataclasses import dataclass, field
@@ -164,26 +165,24 @@ class SchemeContext:
 
     @property
     def elastic_matrix_prev(self):
-        """Elasticity stiffness with C(phi^{n-1}); C constant if homogeneous."""
-        def build():
-            law = self.params.elastic
-            pi = self.pi_prev_qp if law.heterogeneous else None  # None: constant C
-            return grid.assemble_vector_elasticity(self.mesh, law.c_minus, pi, law.delta)
-
-        return self.frozen_operator("A_prev", build)
+        """Elasticity stiffness with C(phi^{n-1})."""
+        law = self.params.elastic
+        return self.frozen_operator(
+            "A_prev",
+            lambda: grid.assemble_vector_elasticity(
+                self.mesh, law.c_minus, self.pi_prev_qp, law.delta
+            ),
+        )
 
     @property
     def coupling_prev(self):
         """G[i,a] = int p_i * xi I:C(phi^{n-1}) B_a dx."""
-        def build():
-            law = self.params.elastic
-            if not law.heterogeneous:
-                vec = law.xi * (I_VOIGT @ law.c_minus)
-            else:
-                vec = law.swelling_row(self.pi_prev_qp)
-            return grid.assemble_coupling(self.mesh, vec)
-
-        return self.frozen_operator("G_prev", build)
+        return self.frozen_operator(
+            "G_prev",
+            lambda: grid.assemble_coupling(
+                self.mesh, self.params.elastic.swelling_row(self.pi_prev_qp)
+            ),
+        )
 
     @cached_property
     def ici_prev_qp(self):
@@ -282,10 +281,7 @@ def semi_implicit_coupling_term(state, ctx):
     phi_qp = grid.scalar_at_qp(ctx.mesh, state.phi)
     eps_qp = grid.strain_at_qp(ctx.mesh, state.u)
     e = eps_qp - law.xi * phi_qp[..., None] * I_VOIGT
-    if law.heterogeneous:
-        lin = np.einsum("eqc,eqc->eq", e, law.swelling_row(ctx.pi_prev_qp))
-    else:
-        lin = law.xi * np.einsum("c,cd,eqd->eq", I_VOIGT, law.c_minus, e)
+    lin = np.einsum("eqc,eqc->eq", e, law.swelling_row(ctx.pi_prev_qp))
     return ctx.explicit_elastic_qp - lin
 
 
@@ -463,68 +459,62 @@ def ch_jacobian(state, ctx):
 # Energies and step potentials
 # ---------------------------------------------------------------------------
 
-def free_energy(state, params):
-    """Free energy with the unsplit double well and the current C(phi).
-
-    Evaluated on the 2x2 Gauss rule the schemes are assembled with: the time
-    discretizations dissipate *this* discrete energy, so it is the one to
-    monitor for gradient stability.
+def _energies(state, params, psi, stiffness):
+    """phi at the quadrature points and the integrals of (gamma/ell) psi(phi),
+    (gamma ell / 2) |grad phi|^2 and e : C e / 2 over the 2x2 rule, with
+    e = eps(u) - xi phi I and C = ``stiffness(phi)`` per point: the energy
+    and the step potential differ only in psi and C (Eyre 1998, MRS Proc. 529).
     """
     mesh = state.mesh
-    law = params.elastic
-    dw = params.double_well
-    phi_e = state.phi[mesh.elements]
-    phi_qp = phi_e @ mesh.shape_vals.T
-    grad_qp = np.tensordot(phi_e, mesh.phys_grads, axes=([1], [1]))
-    eps_qp = grid.strain_at_qp(mesh, state.u)
     w = mesh.qp_weights
-
-    chemical = (params.gamma / params.ell) * np.einsum(
-        "q,eq->", w, dw.psi(phi_qp)
-    )
+    phi_qp = grid.scalar_at_qp(mesh, state.phi)
+    grad_qp = grid.gradient_at_qp(mesh, state.phi)
+    e = grid.strain_at_qp(mesh, state.u)
+    e -= params.elastic.xi * phi_qp[..., None] * I_VOIGT
+    sig = np.einsum("eqcd,eqd->eqc", stiffness(phi_qp), e)
+    chemical = (params.gamma / params.ell) * np.einsum("q,eq->", w, psi(phi_qp))
     gradient = 0.5 * params.gamma * params.ell * np.einsum(
         "q,eqd,eqd->", w, grad_qp, grad_qp
     )
-    e = eps_qp - law.xi * phi_qp[..., None] * I_VOIGT
-    sig = np.einsum("eqcd,eqd->eqc", law.tensor(phi_qp), e)
     elastic = 0.5 * np.einsum("q,eqc,eqc->", w, e, sig)
-    return EnergyBreakdown(float(chemical), float(gradient), float(elastic))
+    return phi_qp, EnergyBreakdown(float(chemical), float(gradient), float(elastic))
+
+
+def free_energy(state, params):
+    """Free energy with the unsplit double well and the current C(phi).
+
+    The time discretizations dissipate *this* discrete energy (on the 2x2
+    rule of ``_energies``), so it is the one to monitor for gradient
+    stability.
+    """
+    return _energies(state, params, params.double_well.psi, params.elastic.tensor)[1]
 
 
 def step_potential(state, ctx, mean_tol=1e-8):
     """Per-step convex potential of the homogeneous / semi-implicit scheme.
 
-    The first term is the squared weighted dual norm of the constrained
-    increment, so the increment must satisfy the mean constraint of the
-    admissible space.
+    The chemical, gradient and elastic integrals of ``free_energy`` with the
+    convex part Psi_c of the double well and the stiffness C(phi^{n-1}),
+    plus the dual-norm and the linear terms. The first term is the squared
+    weighted dual norm of the constrained increment, so the increment must
+    satisfy the mean constraint of the admissible space.
     """
     if ctx.scheme_kind == "implicit":
         raise ValueError("no convex step potential exists for the implicit scheme")
     from .analysis import dual_norm  # local import to avoid a cycle
 
-    mesh = ctx.mesh
     params = ctx.params
-    law = params.elastic
-    dw = params.double_well
-    w = mesh.qp_weights
-
+    w = ctx.mesh.qp_weights
     s = state.phi - ctx.prev.phi - params.tau * ctx.R_nodal
-    dn = dual_norm(s, mesh, params.m, mean_tol=mean_tol)
-
-    phi_qp = grid.scalar_at_qp(mesh, state.phi)
-    grad_qp = grid.gradient_at_qp(mesh, state.phi)
-    eps_qp = grid.strain_at_qp(mesh, state.u)
-    e = eps_qp - law.xi * phi_qp[..., None] * I_VOIGT
-    sig = _voigt(e, law.c_minus) + ctx.pi_prev_qp[..., None] * _voigt(e, law.delta)
-    elastic = 0.5 * np.einsum("q,eqc,eqc->", w, e, sig)
+    dn = dual_norm(s, ctx.mesh, params.m, mean_tol=mean_tol)
+    c_prev = params.elastic.tensor(ctx.phi_prev_qp)
+    phi_qp, terms = _energies(state, params, params.double_well.psi_c, lambda _: c_prev)
 
     value = (
         dn**2 / (2.0 * params.tau)
-        + (params.gamma / params.ell) * np.einsum("q,eq->", w, dw.psi_c(phi_qp))
-        + 0.5 * params.gamma * params.ell * np.einsum(
-            "q,eqd,eqd->", w, grad_qp, grad_qp
-        )
-        + elastic
+        + terms.chemical
+        + terms.gradient
+        + terms.elastic
         - (params.gamma / params.ell) * np.einsum(
             "q,eq,eq->", w, ctx.psi_e_prime_prev_qp, phi_qp
         )

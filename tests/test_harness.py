@@ -65,6 +65,15 @@ class TestRunConfig:
         assert not cfg.heterogeneous
         assert not cfg.build_params().elastic.heterogeneous
 
+    def test_from_text_rejects_homogeneous_scheme_with_heterogeneous_law(self):
+        text = "[model]\nheterogeneous = true\n[discretization]\nscheme = homogeneous\n"
+        with pytest.raises(harness.ConfigError, match="scheme = homogeneous.*heterogeneous = true"):
+            harness.RunConfig.from_text(text)
+        # without the key, or with it false, the scheme's constant law holds
+        for model in ("", "[model]\nheterogeneous = false\n"):
+            cfg = harness.RunConfig.from_text(model + "[discretization]\nscheme = homogeneous\n")
+            assert cfg == harness.RunConfig(scheme="homogeneous") and not cfg.heterogeneous
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -380,37 +380,80 @@ def test_implicit_kernels_form_no_stiffness_tensor(monkeypatch):
     assert calls == ["tensor"]
 
 
-def test_homogeneous_operators_keep_constant_formulas():
-    """A homogeneous law's elasticity, coupling and chord operators are
-    bitwise those of the constant C = c_minus."""
-    mesh = grid.build_mesh(4)
-    ctx = make_ctx(mesh, "homogeneous", np.random.Generator(np.random.PCG64(6)))
-    p, law = ctx.params, ctx.params.elastic
+@pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
+def test_homogeneous_law_is_pi_zero(kind):
+    """A homogeneous law and a heterogeneous one with C_plus = C_minus give
+    bitwise the same residuals, Jacobians, frozen operators and energies:
+    the homogeneous law is the case pi = 0 of the same formulas. The second
+    law runs the homogeneous kind as ``semi_implicit``. The operators also
+    match the constant-C formulas, to round-off."""
+    mesh = grid.build_mesh(6)
+    rng = np.random.Generator(np.random.PCG64(6))
+    prev, state = random_state(mesh, rng), random_state(mesh, rng)
+    laws = (
+        materials.ElasticLaw(heterogeneous=False),
+        materials.ElasticLaw(c_plus=materials.C_MINUS_DEFAULT),
+    )
+    kinds = (kind, "semi_implicit" if kind == "homogeneous" else kind)
+    ctxs = [
+        schemes.SchemeContext(
+            prev=prev.copy(), params=materials.ModelParams(elastic=law), scheme_kind=k
+        )
+        for law, k in zip(laws, kinds)
+    ]
+
+    def results(ctx):
+        out = {
+            "residual": schemes.residual(state, ctx),
+            "jacobian": schemes.jacobian(state, ctx).data,
+            "ch_jacobian": schemes.ch_jacobian(state, ctx).data,
+            "elastic_matrix_prev": ctx.elastic_matrix_prev.data,
+            "coupling_prev": ctx.coupling_prev.data,
+            "coupled_mass_prev": ctx.coupled_mass_prev.data,
+            "free_energy": schemes.free_energy(state, ctx.params),
+        }
+        if kind != "implicit":  # the convex schemes' frozen load and potential
+            out["frozen_mu_load"] = ctx.frozen_mu_load
+            shifted = state.copy()  # an increment of zero mass
+            mass = mesh.mass.sum(axis=0).A1
+            shifted.phi[:] += mass @ (prev.phi - state.phi) / mass.sum()
+            out["step_potential"] = schemes.step_potential(shifted, ctx)
+        return out
+
+    homogeneous, pi_zero = (results(ctx) for ctx in ctxs)
+    for name, value in homogeneous.items():
+        assert np.array_equal(value, pi_zero[name]), name
+
+    # the constant-C formulas of C = c_minus
+    law = laws[0]
     w, N, B = mesh.qp_weights, mesh.shape_vals, mesh.b_matrices
     ne = mesh.element_count
-
     elem = np.einsum("q,qca,cd,qdb->ab", w, B, law.c_minus, B)
     A = mesh.pattern("vector").assemble(np.broadcast_to(elem, (ne, 8, 8)))
-    assert np.array_equal(ctx.elastic_matrix_prev.data, A.data)
-    vec = law.xi * (I_VOIGT @ law.c_minus)
-    elem = np.einsum("q,qi,c,qca->ia", w, N, vec, B)
+    elem = np.einsum("q,qi,c,qca->ia", w, N, law.xi * (I_VOIGT @ law.c_minus), B)
     G = mesh.pattern("coupling").assemble(np.broadcast_to(elem, (ne, 4, 8)))
-    assert np.array_equal(ctx.coupling_prev.data, G.data)
-
     ici = np.full((ne, 4), law.xi**2 * (I_VOIGT @ law.c_minus @ I_VOIGT))
     W = grid.assemble_weighted_mass(mesh, ici)
-    psi_cc = grid.assemble_weighted_mass(
-        mesh, p.double_well.psi_c_second(grid.scalar_at_qp(mesh, ctx.prev.phi))
-    )
-    M, K = mesh.mass.data, mesh.stiffness.data
-    blocks = {
-        "mu_phi": -p.gamma * p.ell * K - (p.gamma / p.ell) * psi_cc.data - W.data,
-        "mu_mu": M,
-        "phi_phi": M * (1 / p.tau),
-        "phi_mu": p.m * K,
-    }
-    chord = mesh.saddle_pattern(full=False).matrix(blocks, p.tau)
-    assert np.array_equal(schemes.ch_jacobian(ctx.prev.copy(), ctx).data, chord.data)
+    refs = [("elastic_matrix_prev", A), ("coupling_prev", G), ("coupled_mass_prev", W)]
+    if kind != "implicit":  # the chord matrix, ch_jacobian at the previous state
+        p = ctxs[0].params
+        psi_cc = grid.assemble_weighted_mass(
+            mesh, p.double_well.psi_c_second(grid.scalar_at_qp(mesh, prev.phi))
+        )
+        M, K = mesh.mass.data, mesh.stiffness.data
+        blocks = {
+            "mu_phi": -p.gamma * p.ell * K - (p.gamma / p.ell) * psi_cc.data - W.data,
+            "mu_mu": M,
+            "phi_phi": M * (1 / p.tau),
+            "phi_mu": p.m * K,
+        }
+        chord = mesh.saddle_pattern(full=False).matrix(blocks, p.tau)
+        homogeneous["chord"] = schemes.ch_jacobian(prev.copy(), ctxs[0]).data
+        refs.append(("chord", chord))
+    for name, ref in refs:
+        # entries that cancel to zero carry round-off of the operator's scale
+        atol = 1e-13 * np.abs(ref.data).max()
+        assert np.allclose(homogeneous[name], ref.data, rtol=1e-13, atol=atol), name
 
 
 def test_residual_zero_at_trivial_state():
