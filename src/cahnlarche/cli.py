@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from . import analysis, grid, harness
 
@@ -38,10 +38,8 @@ def _add_common(p):
 
 
 def _load_config(args):
-    if args.config:
-        cfg = harness.RunConfig.from_file(args.config)
-    else:
-        cfg = harness.RunConfig()
+    """The run's config: the flags given, set over the ``--config`` file's
+    fields or the defaults."""
     overrides = {
         "out_dir": args.out,
         "seed": args.seed,
@@ -54,7 +52,10 @@ def _load_config(args):
         "t_final": args.t_final,
         "init": args.init,
     }
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    if args.config:
+        return harness.RunConfig.from_file(args.config, **overrides)
+    return harness.RunConfig(**overrides)
 
 
 def cmd_run(args):

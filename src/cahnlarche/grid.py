@@ -4,15 +4,17 @@ Provides the mesh, quadrature, assembly primitives (scalar mass/stiffness,
 vector elasticity, scalar-vector coupling, load vectors) on sparsity patterns
 fixed per mesh, the saddle form of the Newton matrices in a nested-dissection
 order of the grid (``SaddlePattern``) and symmetric Dirichlet elimination.
-``factorize`` makes every SuperLU factorization of the package, and
-``solve_linear`` checks the residual of a solve it is given, direct or
-iterative. The elasticity of C(phi) = C_minus + pi(phi) Delta C
-is assembled from the weights pi at the quadrature points alone: one
-product with the per-point element matrices of Delta C, built once per mesh
-(``Mesh.elasticity_basis``); the coupling likewise from per-point Voigt
-rows (``Mesh.coupling_basis``). All elements are axis-aligned squares of side
-h = 1/n, with bilinear shape functions on the reference square [0,1]^2 and
-counterclockwise node ordering.
+``factorize`` makes every SuperLU factorization of the package,
+``factorize_spd`` the banded Cholesky factor of a symmetric positive
+definite matrix (the free elasticity block), and ``solve_linear`` checks
+the residual of a solve it is given, direct or iterative. The elasticity
+of C(phi) = C_minus + pi(phi) Delta C is assembled from the weights pi at
+the quadrature points alone: one product with the per-point element
+matrices of Delta C, built once per mesh (``Mesh.elasticity_basis``); the
+coupling likewise from per-point Voigt rows (``Mesh.coupling_basis``). All
+elements are axis-aligned squares of side h = 1/n, with bilinear shape
+functions on the reference square [0,1]^2 and counterclockwise node
+ordering.
 """
 
 from dataclasses import dataclass, field
@@ -21,6 +23,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 # Voigt convention: strain (e11, e22, 2*e12), stress (s11, s22, s12).
 # The identity tensor maps to (1, 1, 0).
@@ -588,14 +591,55 @@ def factorize(matrix, **options):
         raise SingularSystemError(f"factorization failed: {exc}") from exc
 
 
+def _lower_band(matrix):
+    """The lower triangle of the square sparse ``matrix`` in LAPACK's band
+    storage: entry (i, j), i >= j, at [i - j, j] of a Fortran-ordered
+    (kd + 1, N) array, kd the half-bandwidth of the stored pattern."""
+    A = matrix.tocoo()
+    lower = A.row >= A.col
+    col = A.col[lower]
+    offset = A.row[lower] - col
+    band = np.zeros((offset.max(initial=0) + 1, A.shape[0]), order="F")
+    band[offset, col] = A.data[lower]
+    return band
+
+
+def factorize_spd(matrix):
+    """The solve function of the banded Cholesky factor of the symmetric
+    positive definite sparse ``matrix`` (LAPACK ``dpbtrf``/``dpbtrs``;
+    Anderson et al., LAPACK Users' Guide, 1999).
+
+    The band is that of the stored pattern in the matrix's own order: the
+    free elasticity dofs, ascending, give a half-bandwidth of 2n + 1. A
+    matrix that is not positive definite raises ``SingularSystemError``,
+    as ``factorize`` does for SuperLU's failures.
+    """
+    factor, info = lapack.dpbtrf(_lower_band(matrix), lower=1, overwrite_ab=1)
+    if info != 0:
+        reason = (
+            f"leading minor of order {info} is not positive definite"
+            if info > 0 else f"dpbtrf argument {-info} is invalid"
+        )
+        raise SingularSystemError(f"factorization failed: {reason}")
+
+    def solve(b):
+        x, info = lapack.dpbtrs(factor, b, lower=1)
+        if info != 0:
+            raise SingularSystemError(f"dpbtrs argument {-info} is invalid")
+        return x
+
+    return solve
+
+
 def solve_linear(matrix, rhs, solve, row_scale=None):
     """``solve(rhs)``, checked as a solution of ``matrix`` x = ``rhs``.
 
-    ``solve`` may be an LU solve (``factorize``) or an iterative one. A
-    result that is non-finite or whose relative residual exceeds
-    ``RESIDUAL_TOL`` raises ``SingularSystemError``. When ``matrix`` is
-    D A with the row scales D given as ``row_scale``, the check is made in
-    A's rows: |D^-1 (matrix x - rhs)| <= RESIDUAL_TOL |D^-1 rhs|.
+    ``solve`` may be an LU or Cholesky solve (``factorize``,
+    ``factorize_spd``) or an iterative one. A result that is non-finite or
+    whose relative residual exceeds ``RESIDUAL_TOL`` raises
+    ``SingularSystemError``. When ``matrix`` is D A with the row scales D
+    given as ``row_scale``, the check is made in A's rows:
+    |D^-1 (matrix x - rhs)| <= RESIDUAL_TOL |D^-1 rhs|.
     """
     b = np.asarray(rhs, dtype=float)
     x = solve(b)

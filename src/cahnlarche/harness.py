@@ -109,9 +109,11 @@ class RunConfig:
         return buf.getvalue()
 
     @classmethod
-    def from_text(cls, text):
-        """The config of an INI text; a section, key or value no run can use
-        raises ``ConfigError``."""
+    def from_text(cls, text, **overrides):
+        """The config of an INI text, with the fields in ``overrides`` set
+        over the text's; a section, key or value no run can use raises
+        ``ConfigError``, as does a homogeneous scheme, from the text or from
+        ``overrides``, with the heterogeneous law the text asks for."""
         cp = configparser.ConfigParser(default_section="")
         try:
             cp.read_string(text)
@@ -133,21 +135,23 @@ class RunConfig:
                     kwargs[k] = get(sec, k)
                 except ValueError as exc:
                     raise ConfigError(f"[{sec}] {k}: {exc}") from exc
+        kwargs.update(overrides)
         if kwargs.get("scheme") == "homogeneous" and kwargs.get("heterogeneous"):
             raise ConfigError(
-                "[discretization] scheme = homogeneous needs a homogeneous law, "
+                "scheme = homogeneous needs a homogeneous law, "
                 "but [model] heterogeneous = true"
             )
         return cls(**kwargs)
 
     @classmethod
-    def from_file(cls, path):
+    def from_file(cls, path, **overrides):
+        """``from_text`` of the file at ``path``."""
         try:
             with open(path) as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read configuration {path}: {exc.strerror}") from exc
-        return cls.from_text(text)
+        return cls.from_text(text, **overrides)
 
     def build_params(self):
         law = materials.ElasticLaw(

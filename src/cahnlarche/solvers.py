@@ -26,7 +26,9 @@ chord) arrives from ``schemes`` in its symmetric saddle-point form on the
 free dofs, already in a nested-dissection order fixed by the mesh, and is
 factored in that order; the mesh's ``grid.SaddlePattern`` maps right-hand
 sides (``rows``) and solutions (``unknowns``) between the (phi, mu, u)
-layout and that form. Every LU is made by ``grid.factorize``.
+layout and that form. Every LU is made by ``grid.factorize``. The
+elasticity block's stiffness, symmetric positive definite on the free dofs,
+is factored by banded Cholesky instead (``grid.factorize_spd``).
 
 The exact Newton solves (monolithic, and the phase-field block without the
 chord) reuse a lagged LU (``LaggedLU``): the latest saddle LU preconditions
@@ -415,17 +417,6 @@ def newton_ch_block(ctx, state, *, r, solve=None, stopping=None, max_iter=50):
     )
 
 
-def _free_block(A, free):
-    """A[free][:, free] in CSC format, with its exact zeros dropped.
-
-    A constant C gives exact zeros in A; they are left out of the LU's
-    column ordering.
-    """
-    A = A[free][:, free]
-    A.eliminate_zeros()
-    return A.tocsc()
-
-
 def solve_elasticity_block(ctx, state):
     """Linear elasticity solve at the current phase field.
 
@@ -433,26 +424,27 @@ def solve_elasticity_block(ctx, state):
     C(phi) of the current iterate, from pi(phi) at the quadrature points
     (``ElasticLaw.weight``), and factors A every call. The homogeneous and
     semi-implicit schemes use A and G at C(phi^{n-1}), with the free block
-    of A and its LU built once through ``SchemeContext.frozen_operator``:
+    of A and its factor built once through ``SchemeContext.frozen_operator``:
     once per step for a heterogeneous law, once per mesh, ``xi`` and
-    ``c_minus`` for a homogeneous one. Either way ``grid.factorize`` makes
-    the LU, so a failed factorization raises ``grid.SingularSystemError``;
-    the system is solved on the free dofs by ``grid.solve_linear``, which
-    checks the residual. Writes the free dofs of state.u in place; its
-    constrained dofs keep their values, zero in every solver's iterate.
+    ``c_minus`` for a homogeneous one. Either way the free block, symmetric
+    positive definite and banded in the ascending order of the free dofs,
+    is factored by ``grid.factorize_spd`` (banded Cholesky), so a failed
+    factorization raises ``grid.SingularSystemError``; the system is solved
+    by ``grid.solve_linear``, which checks the residual. Writes the free
+    dofs of state.u in place; its constrained dofs keep their values, zero
+    in every solver's iterate.
     """
     mesh = ctx.mesh
     law = ctx.params.elastic
     free = mesh.free_u_dofs
     if ctx.scheme_kind == "implicit":
         pi = law.weight(grid.scalar_at_qp(mesh, state.phi))
-        A = grid.assemble_vector_elasticity(mesh, law.c_minus, pi, law.delta)
-        A = _free_block(A, free)
+        A = grid.assemble_vector_elasticity(mesh, law.c_minus, pi, law.delta)[free][:, free]
         G = grid.assemble_coupling(mesh, law.swelling_row(pi))
-        solve = grid.factorize(A)
+        solve = grid.factorize_spd(A)
     else:
-        A = ctx.frozen_operator("A_free", lambda: _free_block(ctx.elastic_matrix_prev, free))
-        solve = ctx.frozen_operator("elast_lu", lambda: grid.factorize(A))
+        A = ctx.frozen_operator("A_free", lambda: ctx.elastic_matrix_prev[free][:, free])
+        solve = ctx.frozen_operator("elast_cholesky", lambda: grid.factorize_spd(A))
         G = ctx.coupling_prev
     rhs = ctx.f_load + G.T @ state.phi
     state.u[free] = grid.solve_linear(A, rhs[free], solve)

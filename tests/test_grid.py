@@ -205,6 +205,26 @@ def test_solve_linear_rejects_singular():
         grid.solve_linear(A, b, lstsq)
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_banded_cholesky_of_free_elasticity_block(n):
+    # The free block of C(phi) at a random phi: half-bandwidth 2n + 1 in the
+    # ascending order of the free dofs, the dense solve's answer, and the
+    # same bits from a second factorization.
+    from cahnlarche import materials
+
+    mesh = grid.build_mesh(n)
+    law = materials.ElasticLaw()
+    rng = np.random.default_rng(n)
+    pi = law.weight(grid.scalar_at_qp(mesh, rng.uniform(-1.0, 1.0, mesh.node_count)))
+    free = mesh.free_u_dofs
+    A = grid.assemble_vector_elasticity(mesh, law.c_minus, pi, law.delta)[free][:, free]
+    b = rng.standard_normal(free.size)
+    assert grid._lower_band(A).shape[0] - 1 == 2 * n + 1
+    x, dense = grid.factorize_spd(A)(b), np.linalg.solve(A.toarray(), b)
+    assert np.abs(x - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert np.array_equal(grid.factorize_spd(A)(b), x)
+
+
 def test_mms_elasticity_convergence_order():
     """Manufactured solution u = (sin(pi x) sin(pi y), 0) with constant C."""
     C = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 0.0], [0.0, 0.0, 2.0]])

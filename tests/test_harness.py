@@ -377,16 +377,26 @@ class TestCli:
         assert "gamma must be finite, got inf" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "section, line",
-        [("discretization", "n = 1.5"), ("solver", "chord = maybe"), ("model", "gama = 3")],
+        "section, line, flags",
+        [
+            ("discretization", "n = 1.5", []),
+            ("solver", "chord = maybe", []),
+            ("model", "gama = 3", []),
+            # a flag is checked together with the file it overrides
+            ("model", "heterogeneous = true", ["--scheme", "homogeneous"]),
+        ],
+        ids=[
+            "discretization-n = 1.5", "solver-chord = maybe", "model-gama = 3",
+            "model-heterogeneous = true --scheme homogeneous",
+        ],
     )
-    def test_bad_config_file_is_a_usage_error(self, tmp_path, capsys, section, line):
+    def test_bad_config_file_is_a_usage_error(self, tmp_path, capsys, section, line, flags):
         from cahnlarche import cli
 
         cfg = tmp_path / "c.ini"
         cfg.write_text(f"[{section}]\n{line}\n")
         with pytest.raises(SystemExit) as exc:
-            cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags])
         assert exc.value.code == 2
         assert f"[{section}]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

@@ -477,26 +477,34 @@ class TestRunLongLaggedLU:
 class TestElasticityBlock:
     @pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
     def test_failed_factorization_is_reported(self, kind, monkeypatch):
-        # SuperLU failing on the elasticity matrix, the only one factored
-        # with its default options, ends the run at step 1 with the reason,
-        # for the LU held for the step (or the run) as for the implicit
-        # scheme's LU of every call.
-        import scipy.sparse.linalg as spla
+        # A failed factorization of the elasticity matrix ends the run at
+        # step 1 with the reason, for the factor held for the step (or the
+        # run) as for the implicit scheme's factor of every call.
+        def failing(A):
+            raise grid.SingularSystemError("factorization failed: Factor is exactly singular")
 
-        splu = spla.splu
-
-        def failing(A, **options):
-            if not options:
-                raise RuntimeError("Factor is exactly singular")
-            return splu(A, **options)
-
-        monkeypatch.setattr(spla, "splu", failing)
+        monkeypatch.setattr(grid, "factorize_spd", failing)
         summary = harness.run_simulation(
             harness.RunConfig(n=8, t_final=2e-5, scheme=kind, strategy="alternating")
         )
         assert summary.failed_at_step == 1
         assert summary.failure_reason == (
             "elasticity solve failed: factorization failed: Factor is exactly singular"
+        )
+
+    @pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
+    def test_indefinite_stiffness_fails_to_factor(self, kind, monkeypatch):
+        # A negated stiffness is not positive definite: its banded Cholesky
+        # factorization fails at the first pivot, and the run reports it.
+        assemble = grid.assemble_vector_elasticity
+        monkeypatch.setattr(grid, "assemble_vector_elasticity", lambda *a: -assemble(*a))
+        summary = harness.run_simulation(
+            harness.RunConfig(n=8, t_final=2e-5, scheme=kind, strategy="alternating")
+        )
+        assert summary.failed_at_step == 1
+        assert summary.failure_reason == (
+            "elasticity solve failed: factorization failed: "
+            "leading minor of order 1 is not positive definite"
         )
 
     def test_zero_phi_zero_force(self):
@@ -530,7 +538,7 @@ class TestElasticityBlock:
         assert np.allclose(state.u, u, atol=1e-10)
 
     def test_homogeneous_laws_sharing_a_mesh(self):
-        # The operators and LU of a homogeneous law are cached on the mesh;
+        # The operators and factor of a homogeneous law are cached on the mesh;
         # a second law with another c_minus must not reuse the first's.
         def solve(mesh, law):
             params = materials.ModelParams(elastic=law)
@@ -563,29 +571,28 @@ class TestElasticityBlock:
 
     @pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
     def test_inaccurate_solve_raises(self, kind, monkeypatch):
-        # Every elasticity solve is residual-checked, the LU held for the
-        # step or the run included: an answer off by one part in a million
-        # is rejected.
-        import scipy.sparse.linalg as spla
+        # Every elasticity solve is residual-checked, the factor held for
+        # the step or the run included: an answer off by one part in a
+        # million is rejected.
+        factorize_spd = grid.factorize_spd
 
-        class Perturbed:
-            def __init__(self, lu):
-                self.solve = lambda b: lu.solve(b) * (1.0 + 1e-6)
+        def perturbed(A):
+            solve = factorize_spd(A)
+            return lambda b: solve(b) * (1.0 + 1e-6)
 
-        splu = spla.splu
-        monkeypatch.setattr(spla, "splu", lambda *a, **k: Perturbed(splu(*a, **k)))
+        monkeypatch.setattr(grid, "factorize_spd", perturbed)
         ctx, prev = midsplit_ctx(kind=kind, het=kind != "homogeneous")
         with pytest.raises(grid.SingularSystemError, match="^relative residual"):
             solvers.solve_elasticity_block(ctx, prev.copy())
 
     def test_mesh_cache_keys_name_their_inputs(self):
-        # After a homogeneous step, whose operators and LUs are kept on the
-        # mesh, every entry of the mesh's cache is keyed by a tuple.
+        # After a homogeneous step, whose operators and factors are kept on
+        # the mesh, every entry of the mesh's cache is keyed by a tuple.
         ctx, prev = midsplit_ctx(kind="homogeneous", het=False)
         _, rep = solvers.alternating_minimization(ctx, prev, track_potential=True)
         assert rep.converged
         keys = list(ctx.mesh._cache)
-        assert ("elast_lu", ctx.params.elastic.xi) in [k[:2] for k in keys]
+        assert ("elast_cholesky", ctx.params.elastic.xi) in [k[:2] for k in keys]
         assert all(isinstance(k, tuple) for k in keys), keys
 
 
