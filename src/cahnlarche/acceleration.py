@@ -3,17 +3,15 @@
 Type-II Anderson: given recent iterates x_j and their fixed-point images
 g_j = G(x_j), minimize the norm of the affine combination of residuals
 r_j = g_j - x_j subject to the weights summing to one, and return the
-same combination of the images. Depth zero reproduces the plain iteration
-exactly (identity passthrough).
+same combination of the images. Written through differences of
+consecutive pairs, that is one unconstrained least-squares problem (Walker
+& Ni 2011, SIAM J. Numer. Anal. 49(4)). Depth zero reproduces the plain
+iteration exactly (identity passthrough).
 """
 
 from collections import deque
 
 import numpy as np
-
-# Relative Tikhonov term added to the normal-equation matrix of the
-# constrained least-squares problem.
-_REGULARIZATION = 1e-12
 
 
 class AndersonWindow:
@@ -29,37 +27,20 @@ class AndersonWindow:
         if depth < 0:
             raise ValueError("depth must be nonnegative")
         self.depth = depth
-        self._pairs = deque(maxlen=max(depth, 1))
+        self._pairs = deque(maxlen=depth)
 
     def update(self, x, gx):
-        """Record the pair (x, G(x)) and return the next iterate."""
-        x = np.asarray(x, dtype=float)
+        """Record the pair (x, G(x)) and return the next iterate.
+
+        That is g_k - dG gamma, with gamma minimizing |r_k - dR gamma| and
+        dR, dG the differences of consecutive residuals and images; with
+        one pair, dR has no columns and this is g_k.
+        """
         gx = np.asarray(gx, dtype=float)
         if self.depth == 0:
             return gx.copy()
-        self._pairs.append((x.copy(), gx.copy()))
-        return self._mix()
-
-    def _mix(self):
-        k = len(self._pairs)
-        if k == 1:
-            return self._pairs[0][1].copy()
-        R = np.stack([g - x for x, g in self._pairs], axis=1)  # (n, k)
-        G = np.stack([g for _, g in self._pairs], axis=1)
-        # minimize |R a|^2 s.t. sum(a) = 1 via KKT on the normal equations
-        H = R.T @ R
-        scale = np.trace(H) / k if np.trace(H) > 0 else 1.0
-        H = H + _REGULARIZATION * scale * np.eye(k)
-        KKT = np.zeros((k + 1, k + 1))
-        KKT[:k, :k] = H
-        KKT[:k, k] = 1.0
-        KKT[k, :k] = 1.0
-        rhs = np.zeros(k + 1)
-        rhs[k] = 1.0
-        try:
-            sol = np.linalg.solve(KKT, rhs)
-            alpha = sol[:k]
-        except np.linalg.LinAlgError:
-            alpha = np.zeros(k)
-            alpha[-1] = 1.0
-        return G @ alpha
+        self._pairs.append((np.array(x, dtype=float), gx.copy()))
+        X, G = (np.stack(cols, axis=1) for cols in zip(*self._pairs))  # (n, k)
+        R = G - X
+        gamma = np.linalg.lstsq(np.diff(R, axis=1), R[:, -1], rcond=None)[0]
+        return G[:, -1] - np.diff(G, axis=1) @ gamma

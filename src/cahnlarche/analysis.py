@@ -142,9 +142,9 @@ def rate_bound(params, constants):
 
     For a heterogeneous law the coupling strength is measured by the
     spectral bounds of the interpolated tensor times I . I = 2 (the trace
-    of the identity in Voigt form in two dimensions); a homogeneous law
-    uses the exact scalar I : C I instead. The Lipschitz constant of the
-    derivative of the convex double-well part is the measured one.
+    of the identity in Voigt form in two dimensions); a law with Delta C = 0
+    uses the exact scalar I : C_minus I instead. The Lipschitz constant of
+    the derivative of the convex double-well part is the measured one.
     """
     law = params.elastic
     lipschitz_psi = params.double_well.measured_lipschitz()

@@ -40,7 +40,6 @@ class RunConfig:
     ell: float = 0.02
     xi: float = 1.0
     theta: float = 2.0
-    heterogeneous: bool = True
     # discretization
     n: int = 65
     tau: float = 1e-5
@@ -86,15 +85,18 @@ class RunConfig:
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {need}, got {getattr(self, name)!r}")
-        if self.scheme == "homogeneous":  # from_text rejects an explicit true
-            self.heterogeneous = False
+        if self.strategy == "monolithic" and (self.chord or self.anderson_depth):
+            raise ConfigError(
+                "chord and anderson_depth apply to strategy = alternating only, "
+                "not with strategy = monolithic"
+            )
         try:  # the model parameters are checked by the model's own rules
             self.build_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     _SECTIONS = {
-        "model": ("m", "gamma", "ell", "xi", "theta", "heterogeneous"),
+        "model": ("m", "gamma", "ell", "xi", "theta"),
         "discretization": ("n", "tau", "t_final", "scheme"),
         "solver": ("strategy", "anderson_depth", "tolerance", "max_iterations", "chord"),
         "output": ("init", "seed", "out_dir", "snapshot_every"),
@@ -112,8 +114,7 @@ class RunConfig:
     def from_text(cls, text, **overrides):
         """The config of an INI text, with the fields in ``overrides`` set
         over the text's; a section, key or value no run can use raises
-        ``ConfigError``, as does a homogeneous scheme, from the text or from
-        ``overrides``, with the heterogeneous law the text asks for."""
+        ``ConfigError``."""
         cp = configparser.ConfigParser(default_section="")
         try:
             cp.read_string(text)
@@ -136,11 +137,6 @@ class RunConfig:
                 except ValueError as exc:
                     raise ConfigError(f"[{sec}] {k}: {exc}") from exc
         kwargs.update(overrides)
-        if kwargs.get("scheme") == "homogeneous" and kwargs.get("heterogeneous"):
-            raise ConfigError(
-                "scheme = homogeneous needs a homogeneous law, "
-                "but [model] heterogeneous = true"
-            )
         return cls(**kwargs)
 
     @classmethod
@@ -154,16 +150,17 @@ class RunConfig:
         return cls.from_text(text, **overrides)
 
     def build_params(self):
-        law = materials.ElasticLaw(
-            xi=self.xi, heterogeneous=self.heterogeneous
-        )
+        """The model of this run; the homogeneous scheme's law has the
+        constant stiffness C_minus, C_plus = C_minus."""
+        homogeneous = self.scheme == "homogeneous"
+        c_plus = materials.C_MINUS_DEFAULT if homogeneous else materials.C_PLUS_DEFAULT
         return materials.ModelParams(
             m=self.m,
             gamma=self.gamma,
             ell=self.ell,
             tau=self.tau,
             theta=self.theta,
-            elastic=law,
+            elastic=materials.ElasticLaw(xi=self.xi, c_plus=c_plus.copy()),
         )
 
 

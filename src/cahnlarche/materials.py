@@ -9,11 +9,13 @@ its derivatives are a scalar per point times a fixed tensor. The schemes
 use that: they evaluate ``ElasticLaw.weight`` (pi, pi', pi'') at the
 quadrature points and combine it with the fixed tensors (``swelling_row``,
 ``grid.assemble_vector_elasticity``), never forming a 3x3 tensor per point.
-A homogeneous law is the case pi = 0 (``weight`` returns zeros); only
-``tensor``, which the energies call, skips the sum and broadcasts C_minus.
+A homogeneous law is one with Delta C = 0 (C_plus = C_minus), whose pi
+Delta C is exactly zero; ``ElasticLaw.heterogeneous`` is worked out from
+that, for the callers that skip work a zero Delta C makes needless.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -138,7 +140,6 @@ class ElasticLaw:
     c_minus: np.ndarray = field(default_factory=lambda: C_MINUS_DEFAULT.copy())
     c_plus: np.ndarray = field(default_factory=lambda: C_PLUS_DEFAULT.copy())
     xi: float = 1.0
-    heterogeneous: bool = True
 
     def __post_init__(self):
         for name, C in (("c_minus", self.c_minus), ("c_plus", self.c_plus)):
@@ -152,15 +153,16 @@ class ElasticLaw:
     def delta(self):
         return self.c_plus - self.c_minus
 
+    @cached_property
+    def heterogeneous(self):
+        """Whether C depends on phi: Delta C != 0."""
+        return bool(np.any(self.delta))
+
     def tensor(self, phi):
         """C(phi) = C_minus + pi(phi) (C_plus - C_minus); shape (..., 3, 3)."""
-        phi = np.asarray(phi, dtype=float)
-        if not self.heterogeneous:
-            return np.broadcast_to(
-                self.c_minus, phi.shape + (3, 3)
-            ) if phi.ndim else self.c_minus
-        w = pi_interp(phi)
-        return self.c_minus + w[..., None, None] * self.delta
+        C = np.multiply.outer(pi_interp(phi), self.delta)
+        C += self.c_minus  # in place: a second per-point array costs as much again
+        return C
 
     def tensor_prime(self, phi):
         return self.weight(phi, 1)[..., None, None] * self.delta
@@ -170,10 +172,7 @@ class ElasticLaw:
 
     def weight(self, phi, order=0):
         """pi(phi) of C(phi) = C_minus + pi(phi) Delta C, or its derivative of
-        ``order`` 1 or 2; zero for a homogeneous law, whose C is C_minus."""
-        phi = np.asarray(phi, dtype=float)
-        if not self.heterogeneous:
-            return np.zeros(phi.shape)
+        ``order`` 1 or 2."""
         return (pi_interp, pi_interp_prime, pi_interp_second)[order](phi)
 
     def swelling_row(self, pi):

@@ -3,12 +3,14 @@
 Residual vectors, Jacobian matrices, free-energy evaluation and the per-step
 convex potentials for the three schemes:
 
-* ``homogeneous``  - convex-concave split double well, constant stiffness.
 * ``implicit``     - convex-concave split double well, elastic contributions
                      fully implicit (stiffness and its derivative at phi^n).
 * ``semi_implicit``- stiffness frozen at phi^{n-1} and the quadratic
                      C'(phi)-term evaluated at the previous time level, so
                      each step is the optimality system of a convex problem.
+* ``homogeneous``  - ``semi_implicit`` of a law with Delta C = 0, checked by
+                     ``SchemeContext``: with a constant C the schemes are one,
+                     Eyre's convex-concave step (Eyre 1998, MRS Proc. 529).
 
 All residuals use the sign conventions of the variational statements; at a
 fixed point mu equals the variational derivative of the free energy.
@@ -19,7 +21,7 @@ on the 2x2 rule the residuals use: the discrete energy the schemes dissipate. A
 ``SchemeContext`` computes each previous-level field once
 (``cached_property``); operators built from C(phi^{n-1}) go through
 ``SchemeContext.frozen_operator``, which keeps them for the step or, for a
-homogeneous law, on the mesh.
+law with Delta C = 0, on the mesh.
 
 C(phi) = C_minus + pi(phi) Delta C enters every residual and Jacobian only
 through the scalars pi, pi' and pi'' at the quadrature points
@@ -27,8 +29,9 @@ through the scalars pi, pi' and pi'' at the quadrature points
 stress is C_minus e + pi Delta C e, the elasticity block is assembled from
 pi (``grid.assemble_vector_elasticity``), the coupling from the rows
 xi (I.C_minus + pi I.Delta C) (``ElasticLaw.swelling_row``). No 3x3 tensor
-is formed per point. A homogeneous law is the case pi = 0, with no formulas
-of its own; its explicit elastic term is zero without evaluation.
+is formed per point. A homogeneous law is the case Delta C = 0, where
+pi Delta C is exactly zero, with no formulas of its own; its explicit
+elastic term is zero without evaluation.
 """
 
 from dataclasses import dataclass, field
@@ -101,7 +104,7 @@ class SchemeContext:
         if self.scheme_kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.scheme_kind!r}")
         if self.scheme_kind == "homogeneous" and self.params.elastic.heterogeneous:
-            raise ValueError("homogeneous scheme requires a homogeneous elastic law")
+            raise ValueError("homogeneous scheme requires a law with C_plus = C_minus")
 
     @property
     def mesh(self):
@@ -151,9 +154,9 @@ class SchemeContext:
         """Operator ``build()`` that depends on C(phi^{n-1}), built once.
 
         It is cached on the context for a heterogeneous law, where it changes
-        every step. A homogeneous law's operators depend only on the mesh,
-        ``xi`` and ``c_minus``, so they are cached on the mesh under a key
-        holding both and shared by every step of a run.
+        every step. The operators of a law with Delta C = 0 depend only on
+        the mesh, ``xi`` and ``c_minus``, so they are cached on the mesh under
+        a key holding both and shared by every step of a run.
         """
         law = self.params.elastic
         if not law.heterogeneous:
@@ -275,7 +278,7 @@ def semi_implicit_coupling_term(state, ctx):
     swelling part with stiffness frozen at phi^{n-1}. Coincides with the
     fully implicit derivative when evaluated at the previous state.
     """
-    if ctx.scheme_kind not in ("semi_implicit", "homogeneous"):
+    if ctx.scheme_kind == "implicit":
         raise ValueError("coupling term defined for the semi-implicit form")
     law = ctx.params.elastic
     phi_qp = grid.scalar_at_qp(ctx.mesh, state.phi)
@@ -519,10 +522,9 @@ def step_potential(state, ctx, mean_tol=1e-8):
             "q,eq,eq->", w, ctx.psi_e_prime_prev_qp, phi_qp
         )
         - float(ctx.f_load @ state.u)
-    )
-    if ctx.scheme_kind == "semi_implicit":
         # Sign normalized so the scheme's mu-equation is the stationarity
         # condition of this functional: the explicit quadratic term enters
         # the potential with the same sign it carries in the coupling term.
-        value += np.einsum("q,eq,eq->", w, ctx.explicit_elastic_qp, phi_qp)
+        + np.einsum("q,eq,eq->", w, ctx.explicit_elastic_qp, phi_qp)
+    )
     return float(value)

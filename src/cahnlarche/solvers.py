@@ -422,11 +422,12 @@ def solve_elasticity_block(ctx, state):
 
     The implicit scheme reassembles the stiffness A and the coupling G at
     C(phi) of the current iterate, from pi(phi) at the quadrature points
-    (``ElasticLaw.weight``), and factors A every call. The homogeneous and
-    semi-implicit schemes use A and G at C(phi^{n-1}), with the free block
-    of A and its factor built once through ``SchemeContext.frozen_operator``:
-    once per step for a heterogeneous law, once per mesh, ``xi`` and
-    ``c_minus`` for a homogeneous one. Either way the free block, symmetric
+    (``ElasticLaw.weight``), and factors A every call. The frozen schemes
+    (homogeneous, semi-implicit) use A and G at C(phi^{n-1}), with the free
+    block of A and its factor built once through
+    ``SchemeContext.frozen_operator``: once per step for a heterogeneous law,
+    once per mesh, ``xi`` and ``c_minus`` for a law with Delta C = 0, whose
+    C(phi^{n-1}) is C_minus. Either way the free block, symmetric
     positive definite and banded in the ascending order of the free dofs,
     is factored by ``grid.factorize_spd`` (banded Cholesky), so a failed
     factorization raises ``grid.SingularSystemError``; the system is solved

@@ -281,8 +281,7 @@ def test_criterion_8b_mass_conservation():
     """|(phi^n - phi^{n-1}, 1)| <= 1e-9 per step, all schemes."""
     worst = 0.0
     for scheme in schemes.SCHEME_KINDS:
-        het = scheme != "homogeneous"
-        s = run(n=16, steps=10, scheme=scheme, heterogeneous=het)
+        s = run(n=16, steps=10, scheme=scheme)
         assert s.completed
         masses = np.array([r.mass for r in s.steps])
         worst = max(worst, np.abs(np.diff(masses)).max())

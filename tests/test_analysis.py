@@ -93,7 +93,8 @@ def test_constants_match_dense_2d_pencil():
 
 class TestRateBound:
     def params(self, het=True, gamma=5.0, xi=1.0):
-        law = materials.ElasticLaw(xi=xi, heterogeneous=het)
+        c_plus = materials.C_PLUS_DEFAULT if het else materials.C_MINUS_DEFAULT
+        law = materials.ElasticLaw(xi=xi, c_plus=c_plus)
         return materials.ModelParams(gamma=gamma, elastic=law)
 
     def test_bound_in_unit_interval(self):

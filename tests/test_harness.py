@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+import dataclasses
 import json
 import os
 
@@ -15,7 +16,7 @@ from cahnlarche import grid, harness
 class TestRunConfig:
     def test_roundtrip(self):
         cfg = harness.RunConfig(
-            n=16, gamma=7.5, xi=0.3, scheme="implicit", strategy="monolithic",
+            n=16, gamma=7.5, xi=0.3, scheme="implicit", strategy="alternating",
             anderson_depth=3, seed=11, tau=2e-5, chord=True,
         )
         text = cfg.to_text()
@@ -61,18 +62,36 @@ class TestRunConfig:
             harness.RunConfig(**{field: value})
 
     def test_homogeneous_scheme_forces_constant_law(self):
+        # homogeneity is the law's C_plus = C_minus, not a config field
         cfg = harness.RunConfig(scheme="homogeneous")
-        assert not cfg.heterogeneous
-        assert not cfg.build_params().elastic.heterogeneous
+        assert "heterogeneous" not in {f.name for f in dataclasses.fields(cfg)}
+        assert len(dataclasses.fields(cfg)) == 18
+        law = cfg.build_params().elastic
+        assert not law.heterogeneous
+        assert np.array_equal(law.c_plus, law.c_minus)
+        assert harness.RunConfig().build_params().elastic.heterogeneous
 
     def test_from_text_rejects_homogeneous_scheme_with_heterogeneous_law(self):
         text = "[model]\nheterogeneous = true\n[discretization]\nscheme = homogeneous\n"
-        with pytest.raises(harness.ConfigError, match="scheme = homogeneous.*heterogeneous = true"):
+        with pytest.raises(harness.ConfigError, match=r"^unknown key 'heterogeneous' in section \[model\]"):
             harness.RunConfig.from_text(text)
-        # without the key, or with it false, the scheme's constant law holds
-        for model in ("", "[model]\nheterogeneous = false\n"):
-            cfg = harness.RunConfig.from_text(model + "[discretization]\nscheme = homogeneous\n")
-            assert cfg == harness.RunConfig(scheme="homogeneous") and not cfg.heterogeneous
+        # the key is unknown whatever its value; without it the scheme's
+        # constant law holds
+        with pytest.raises(harness.ConfigError, match="^unknown key 'heterogeneous'"):
+            harness.RunConfig.from_text("[model]\nheterogeneous = false\n")
+        cfg = harness.RunConfig.from_text("[discretization]\nscheme = homogeneous\n")
+        assert cfg == harness.RunConfig(scheme="homogeneous")
+        assert not cfg.build_params().elastic.heterogeneous
+
+    @pytest.mark.parametrize("options", [dict(chord=True), dict(anderson_depth=2)])
+    def test_rejects_options_monolithic_ignores(self, options):
+        # chord and Anderson mixing belong to alternating minimization
+        harness.RunConfig(strategy="alternating", **options)
+        with pytest.raises(harness.ConfigError, match="^chord and anderson_depth apply"):
+            harness.RunConfig(strategy="monolithic", **options)
+        text = harness.RunConfig(**options).to_text()
+        with pytest.raises(harness.ConfigError, match="strategy = monolithic"):
+            harness.RunConfig.from_text(text, strategy="monolithic")
 
     @pytest.mark.parametrize(
         "text, message",
@@ -376,13 +395,23 @@ class TestCli:
         assert exc.value.code == 2
         assert "gamma must be finite, got inf" in capsys.readouterr().err
 
+    def test_option_the_strategy_ignores_is_a_usage_error(self, tmp_path, capsys):
+        from cahnlarche import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--strategy", "monolithic", "--depth", "2",
+                      "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "with strategy = monolithic" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "section, line, flags",
         [
             ("discretization", "n = 1.5", []),
             ("solver", "chord = maybe", []),
             ("model", "gama = 3", []),
-            # a flag is checked together with the file it overrides
+            # homogeneity is the homogeneous scheme's C_plus = C_minus, not a key
             ("model", "heterogeneous = true", ["--scheme", "homogeneous"]),
         ],
         ids=[

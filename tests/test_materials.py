@@ -1,5 +1,7 @@
 """Double-well splitting, stiffness interpolation and parameter checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -115,10 +117,17 @@ class TestElasticLaw:
         assert np.allclose(C[1], law.c_plus)
 
     def test_homogeneous_constant(self):
-        law = materials.ElasticLaw(heterogeneous=False)
+        law = materials.ElasticLaw(c_plus=materials.C_MINUS_DEFAULT)
         C = law.tensor(np.array([-1.0, 0.3, 1.0]))
         assert np.allclose(C, law.c_minus)
         assert np.allclose(law.tensor_prime(np.array([0.3])), 0.0)
+
+    def test_heterogeneous_is_delta_c_nonzero(self):
+        # worked out from the law's data, not a constructor field
+        assert materials.ElasticLaw().heterogeneous is True
+        assert materials.ElasticLaw(c_plus=materials.C_MINUS_DEFAULT).heterogeneous is False
+        names = [f.name for f in dataclasses.fields(materials.ElasticLaw)]
+        assert names == ["c_minus", "c_plus", "xi"]
 
     def test_i_c_i_value(self):
         # I : C_plus I = 1 + 0.1 + 0.1 + 1 = 2.2 in Voigt convention

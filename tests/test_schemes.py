@@ -30,9 +30,14 @@ def random_state(mesh, rng, scale=1.0):
     )
 
 
+def law_for(kind, xi=1.0):
+    """The default law, or for the homogeneous kind one with C_plus = C_minus."""
+    c_plus = materials.C_MINUS_DEFAULT if kind == "homogeneous" else materials.C_PLUS_DEFAULT
+    return materials.ElasticLaw(xi=xi, c_plus=c_plus)
+
+
 def make_ctx(mesh, kind, rng, gamma=5.0, xi=1.0):
-    het = kind != "homogeneous"
-    law = materials.ElasticLaw(xi=xi, heterogeneous=het)
+    law = law_for(kind, xi)
     params = materials.ModelParams(gamma=gamma, elastic=law)
     return schemes.SchemeContext(
         prev=random_state(mesh, rng), params=params, scheme_kind=kind
@@ -168,7 +173,7 @@ def jacobian_cases(draw, kind):
         return np.array(draw(st.lists(x, min_size=size, max_size=size)))
 
     xi = draw(st.sampled_from([0.5, 1.0, 2.0]))
-    law = materials.ElasticLaw(xi=xi, heterogeneous=kind != "homogeneous")
+    law = law_for(kind, xi)
     params = materials.ModelParams(gamma=5.0, elastic=law)
     prev = schemes.State(
         np.concatenate([field(nn, 1.5), field(nn, 3.0), field(2 * nn, 0.2)]), mesh
@@ -295,7 +300,7 @@ def test_residual_matches_quadrature_form(kind):
     ``ch_residual`` is the residual's (phi, mu) rows bit for bit."""
     mesh = grid.build_mesh(5)
     rng = np.random.Generator(np.random.PCG64(17))
-    law = materials.ElasticLaw(xi=0.8, heterogeneous=kind != "homogeneous")
+    law = law_for(kind, xi=0.8)
     params = materials.ModelParams(gamma=5.0, elastic=law)
     nn = mesh.node_count
     for _ in range(3):
@@ -325,7 +330,7 @@ def test_weighted_assembly_matches_per_point_tensors(heterogeneous):
     at phi^{n-1} and the implicit Jacobian's u and coupling blocks at phi."""
     mesh = grid.build_mesh(4)
     rng = np.random.Generator(np.random.PCG64(23))
-    law = materials.ElasticLaw(xi=0.8, heterogeneous=heterogeneous)
+    law = law_for("semi_implicit" if heterogeneous else "homogeneous", xi=0.8)
     params = materials.ModelParams(elastic=law)
     prev, state = random_state(mesh, rng), random_state(mesh, rng)
     assert np.abs(prev.phi).max() > 1 and np.abs(state.phi).max() > 1
@@ -382,50 +387,50 @@ def test_implicit_kernels_form_no_stiffness_tensor(monkeypatch):
 
 @pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
 def test_homogeneous_law_is_pi_zero(kind):
-    """A homogeneous law and a heterogeneous one with C_plus = C_minus give
-    bitwise the same residuals, Jacobians, frozen operators and energies:
-    the homogeneous law is the case pi = 0 of the same formulas. The second
-    law runs the homogeneous kind as ``semi_implicit``. The operators also
-    match the constant-C formulas, to round-off."""
+    """On one law with C_plus = C_minus, the homogeneous kind gives bitwise
+    the residuals, Jacobians, frozen operators and energies of
+    ``semi_implicit``: it is that scheme of a law whose pi Delta C is zero,
+    with no formulas of its own. Each context is on a mesh of its own, so
+    each builds the operators that a law with Delta C = 0 keeps on the mesh;
+    the other kinds are compared with themselves that way. The operators
+    also match the constant-C formulas, to round-off."""
     mesh = grid.build_mesh(6)
     rng = np.random.Generator(np.random.PCG64(6))
     prev, state = random_state(mesh, rng), random_state(mesh, rng)
-    laws = (
-        materials.ElasticLaw(heterogeneous=False),
-        materials.ElasticLaw(c_plus=materials.C_MINUS_DEFAULT),
-    )
+    law = law_for("homogeneous")
+    params = materials.ModelParams(elastic=law)
     kinds = (kind, "semi_implicit" if kind == "homogeneous" else kind)
     ctxs = [
         schemes.SchemeContext(
-            prev=prev.copy(), params=materials.ModelParams(elastic=law), scheme_kind=k
+            prev=schemes.State(prev.x.copy(), m), params=params, scheme_kind=k
         )
-        for law, k in zip(laws, kinds)
+        for m, k in zip((mesh, grid.build_mesh(6)), kinds)
     ]
 
     def results(ctx):
+        st = schemes.State(state.x.copy(), ctx.mesh)
         out = {
-            "residual": schemes.residual(state, ctx),
-            "jacobian": schemes.jacobian(state, ctx).data,
-            "ch_jacobian": schemes.ch_jacobian(state, ctx).data,
+            "residual": schemes.residual(st, ctx),
+            "jacobian": schemes.jacobian(st, ctx).data,
+            "ch_jacobian": schemes.ch_jacobian(st, ctx).data,
             "elastic_matrix_prev": ctx.elastic_matrix_prev.data,
             "coupling_prev": ctx.coupling_prev.data,
             "coupled_mass_prev": ctx.coupled_mass_prev.data,
-            "free_energy": schemes.free_energy(state, ctx.params),
+            "free_energy": schemes.free_energy(st, ctx.params),
         }
         if kind != "implicit":  # the convex schemes' frozen load and potential
             out["frozen_mu_load"] = ctx.frozen_mu_load
-            shifted = state.copy()  # an increment of zero mass
+            shifted = st.copy()  # an increment of zero mass
             mass = mesh.mass.sum(axis=0).A1
-            shifted.phi[:] += mass @ (prev.phi - state.phi) / mass.sum()
+            shifted.phi[:] += mass @ (prev.phi - st.phi) / mass.sum()
             out["step_potential"] = schemes.step_potential(shifted, ctx)
         return out
 
-    homogeneous, pi_zero = (results(ctx) for ctx in ctxs)
+    homogeneous, semi_implicit = (results(ctx) for ctx in ctxs)
     for name, value in homogeneous.items():
-        assert np.array_equal(value, pi_zero[name]), name
+        assert np.array_equal(value, semi_implicit[name]), name
 
     # the constant-C formulas of C = c_minus
-    law = laws[0]
     w, N, B = mesh.qp_weights, mesh.shape_vals, mesh.b_matrices
     ne = mesh.element_count
     elem = np.einsum("q,qca,cd,qdb->ab", w, B, law.c_minus, B)
@@ -458,7 +463,7 @@ def test_homogeneous_law_is_pi_zero(kind):
 
 def test_residual_zero_at_trivial_state():
     mesh = grid.build_mesh(4)
-    law = materials.ElasticLaw(heterogeneous=False)
+    law = law_for("homogeneous")
     params = materials.ModelParams(elastic=law)
     prev = schemes.State.zeros(mesh)
     ctx = schemes.SchemeContext(prev=prev, params=params, scheme_kind="homogeneous")

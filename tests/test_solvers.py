@@ -10,7 +10,8 @@ from cahnlarche import grid, harness, materials, schemes, solvers
 
 def midsplit_ctx(n=8, kind="semi_implicit", gamma=5.0, xi=1.0, het=True):
     mesh = grid.build_mesh(n)
-    law = materials.ElasticLaw(xi=xi, heterogeneous=het)
+    c_plus = materials.C_PLUS_DEFAULT if het else materials.C_MINUS_DEFAULT
+    law = materials.ElasticLaw(xi=xi, c_plus=c_plus)
     params = materials.ModelParams(gamma=gamma, elastic=law)
     prev = schemes.State.zeros(mesh)
     prev.phi[:] = np.tanh((0.5 - mesh.nodes[:, 1]) / (np.sqrt(2) * params.ell))
@@ -111,7 +112,8 @@ def random_ctx(n, kind, seed=0, mesh=None, **params):
     built with n elements per side unless given.
     """
     mesh = mesh or grid.build_mesh(n)
-    law = materials.ElasticLaw(heterogeneous=kind != "homogeneous")
+    c_plus = materials.C_MINUS_DEFAULT if kind == "homogeneous" else materials.C_PLUS_DEFAULT
+    law = materials.ElasticLaw(c_plus=c_plus)
     params = materials.ModelParams(**{"gamma": 5.0, "elastic": law, **params})
     rng = np.random.Generator(np.random.PCG64(seed))
     nn = mesh.node_count
@@ -516,7 +518,7 @@ class TestElasticityBlock:
     def test_constant_phi_against_dense_solve(self):
         # phi = c with zero boundary displacement, dense oracle on n=4
         mesh = grid.build_mesh(4)
-        law = materials.ElasticLaw(heterogeneous=False)
+        law = materials.ElasticLaw(c_plus=materials.C_MINUS_DEFAULT)
         params = materials.ModelParams(elastic=law)
         prev = schemes.State.zeros(mesh)
         prev.phi[:] = 0.5
@@ -552,15 +554,29 @@ class TestElasticityBlock:
             return state.u, schemes.residual(state, ctx)
 
         shared = grid.build_mesh(6)
-        solve(shared, materials.ElasticLaw(heterogeneous=False))
+        solve(shared, materials.ElasticLaw(c_plus=materials.C_MINUS_DEFAULT))
         soft = materials.ElasticLaw(
-            c_minus=materials.C_PLUS_DEFAULT, heterogeneous=False
+            c_minus=materials.C_PLUS_DEFAULT, c_plus=materials.C_PLUS_DEFAULT
         )
         u_shared, r_shared = solve(shared, soft)
         u_fresh, r_fresh = solve(grid.build_mesh(6), soft)
         assert np.abs(u_fresh).max() > 0
         assert np.allclose(u_shared, u_fresh, rtol=1e-12, atol=0.0)
         assert np.allclose(r_shared, r_fresh, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("het, factors", [(False, 1), (True, 2)])
+    def test_factor_count_of_two_steps_on_a_mesh(self, het, factors, monkeypatch):
+        # Two steps of one law on one mesh: a law with Delta C = 0 factors
+        # the elasticity once, for the mesh; a heterogeneous one once a step.
+        calls, factorize_spd = [], grid.factorize_spd
+        monkeypatch.setattr(grid, "factorize_spd", lambda A: calls.append(1) or factorize_spd(A))
+        ctx, prev = midsplit_ctx(kind="semi_implicit", het=het)
+        for _ in range(2):
+            ctx = schemes.SchemeContext(
+                prev=prev.copy(), params=ctx.params, scheme_kind=ctx.scheme_kind
+            )
+            solvers.solve_elasticity_block(ctx, prev.copy())
+        assert len(calls) == factors
 
     def test_bitwise_deterministic(self):
         ctx, prev = midsplit_ctx()
