@@ -310,7 +310,7 @@ class Mesh:
     boundary_nodes: np.ndarray
     quadrature: QuadratureRule
     # operators built on first use, each under a tuple naming all its inputs
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _built: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def node_count(self):
@@ -398,9 +398,9 @@ class Mesh:
 
     def cached(self, key, build):
         """``build()``, kept on the mesh under ``key``, a tuple naming its inputs."""
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
 
     @cached_property
     def mass(self):

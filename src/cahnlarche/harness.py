@@ -404,14 +404,16 @@ def run_sweep(base_config, preset, values=None):
     """Run a family of simulations varying one control parameter.
 
     ``preset`` is a key of ``SWEEPS``; rows report the varied value, average
-    iteration count and completion status.
+    iteration count and completion status. Every configuration is built,
+    and so checked, before the first simulation runs.
     """
     if preset not in SWEEPS:
         raise ValueError(f"unknown sweep preset {preset!r}")
     key, defaults = SWEEPS[preset]
+    values = defaults if values is None else values
+    configs = [replace(base_config, **{key: v}) for v in values]
     rows = []
-    for v in defaults if values is None else values:
-        cfg = replace(base_config, **{key: v})
+    for v, cfg in zip(values, configs):
         summary = run_simulation(cfg)
         rows.append(
             {

@@ -7,8 +7,9 @@ phase-field dependent elasticity tensor and the swelling stress law.
 C(phi) = C_minus + pi(phi) Delta C with Delta C = C_plus - C_minus, so C and
 its derivatives are a scalar per point times a fixed tensor. The schemes
 use that: they evaluate ``ElasticLaw.weight`` (pi, pi', pi'') at the
-quadrature points and combine it with the fixed tensors (``swelling_row``,
-``grid.assemble_vector_elasticity``), never forming a 3x3 tensor per point.
+quadrature points and combine it with the fixed tensors (``stress``,
+``swelling_row``, ``grid.assemble_vector_elasticity``), never forming a
+3x3 tensor per point.
 A homogeneous law is one with Delta C = 0 (C_plus = C_minus), whose pi
 Delta C is exactly zero; ``ElasticLaw.heterogeneous`` is worked out from
 that, for the callers that skip work a zero Delta C makes needless.
@@ -186,13 +187,12 @@ class ElasticLaw:
         ici = I_VOIGT @ self.c_minus @ I_VOIGT
         return self.xi**2 * (ici + pi * (I_VOIGT @ self.delta @ I_VOIGT))
 
-    def stress(self, phi, strain_voigt):
-        """sigma = C(phi) (eps - xi phi I) in Voigt form."""
-        phi = np.asarray(phi, dtype=float)
-        eps = np.asarray(strain_voigt, dtype=float)
-        e = eps - self.xi * phi[..., None] * I_VOIGT
-        C = self.tensor(phi)
-        return np.einsum("...cd,...d->...c", C, e)
+    def stress(self, e, pi):
+        """sigma = C(phi) e = C_minus e + pi Delta C e per point, for Voigt
+        strains e (..., 3) and pi = ``weight(phi)`` (...), by 2-D products."""
+        flat = e.reshape(-1, 3)
+        sigma = flat @ self.c_minus + pi.reshape(-1, 1) * (flat @ self.delta)
+        return sigma.reshape(e.shape)
 
     def i_c_i(self, phi):
         """Quadratic form I : C(phi) I in the fixed Voigt convention."""

@@ -18,23 +18,25 @@ Dirichlet rows of the displacement block are replaced by value residuals.
 Jacobians come in symmetric saddle form on the free dofs (``jacobian``).
 The free energy and the step potentials share one quadrature (``_energies``)
 on the 2x2 rule the residuals use: the discrete energy the schemes dissipate. A
-``SchemeContext`` computes each previous-level field once
-(``cached_property``); operators built from C(phi^{n-1}) go through
-``SchemeContext.frozen_operator``, which keeps them for the step or, for a
-law with Delta C = 0, on the mesh.
+``SchemeContext`` holds phi^{n-1}, the parameters and the scheme kind, and
+computes each piece of data frozen at phi^{n-1} once (``cached_property``):
+for a law with Delta C = 0, whose operators do not depend on phi^{n-1},
+it takes them from the mesh's cache, shared by every step.
 
-C(phi) = C_minus + pi(phi) Delta C enters every residual and Jacobian only
-through the scalars pi, pi' and pi'' at the quadrature points
+C(phi) = C_minus + pi(phi) Delta C enters every residual, Jacobian and
+energy only through the scalars pi, pi' and pi'' at the quadrature points
 (``ElasticLaw.weight``), combined with tensors fixed per law and mesh: the
-stress is C_minus e + pi Delta C e, the elasticity block is assembled from
-pi (``grid.assemble_vector_elasticity``), the coupling from the rows
+stress is C_minus e + pi Delta C e (``ElasticLaw.stress``, which the
+implicit residual inlines to share Delta C e with the elastic derivative),
+the elasticity block is assembled from pi
+(``grid.assemble_vector_elasticity``), the coupling from the rows
 xi (I.C_minus + pi I.Delta C) (``ElasticLaw.swelling_row``). No 3x3 tensor
 is formed per point. A homogeneous law is the case Delta C = 0, where
 pi Delta C is exactly zero, with no formulas of its own; its explicit
 elastic term is zero without evaluation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -90,15 +92,12 @@ class EnergyBreakdown:
 
 @dataclass(frozen=True)
 class SchemeContext:
-    """Frozen previous-time-level data and per-step assembled operators."""
+    """The data of phi^{n-1} that a step freezes, each piece computed once
+    (``cached_property``)."""
 
     prev: State
     params: object  # ModelParams
     scheme_kind: str
-    R: np.ndarray = None  # nodal source, None = zero
-    f: np.ndarray = None  # nodal body force (interleaved), None = zero
-    # per-step operators of frozen_operator
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme_kind not in SCHEME_KINDS:
@@ -109,35 +108,6 @@ class SchemeContext:
     @property
     def mesh(self):
         return self.prev.mesh
-
-    # -- constant operators -------------------------------------------------
-
-    @property
-    def M(self):
-        return self.mesh.mass
-
-    @property
-    def K(self):
-        return self.mesh.stiffness
-
-    @property
-    def R_nodal(self):
-        if self.R is None:
-            return np.zeros(self.mesh.node_count)
-        return self.R
-
-    @cached_property
-    def R_load(self):
-        """Source load M R, fixed for the step."""
-        return self.M @ self.R_nodal
-
-    @cached_property
-    def f_load(self):
-        if self.f is None:
-            return np.zeros(2 * self.mesh.node_count)
-        fx = grid.scalar_at_qp(self.mesh, self.f[0::2])
-        fy = grid.scalar_at_qp(self.mesh, self.f[1::2])
-        return grid.assemble_vector_load(self.mesh, np.stack([fx, fy], axis=-1))
 
     # -- previous-level fields at quadrature points --------------------------
 
@@ -150,37 +120,45 @@ class SchemeContext:
         """pi(phi^{n-1}): C(phi^{n-1}) = C_minus + pi_prev_qp Delta C."""
         return self.params.elastic.weight(self.phi_prev_qp)
 
-    def frozen_operator(self, name, build):
-        """Operator ``build()`` that depends on C(phi^{n-1}), built once.
+    # -- operators built from C(phi^{n-1}) -----------------------------------
 
-        It is cached on the context for a heterogeneous law, where it changes
-        every step. The operators of a law with Delta C = 0 depend only on
-        the mesh, ``xi`` and ``c_minus``, so they are cached on the mesh under
-        a key holding both and shared by every step of a run.
-        """
+    def _shared(self, name, build):
+        """``build()``, or for a law with Delta C = 0, whose operators depend
+        only on the mesh, ``xi`` and ``c_minus``, kept on the mesh under a
+        key holding both and shared by every step of a run."""
         law = self.params.elastic
-        if not law.heterogeneous:
-            c_minus = np.asarray(law.c_minus, dtype=float)
-            return self.mesh.cached((name, law.xi, c_minus.tobytes()), build)
-        if name not in self._cache:
-            self._cache[name] = build()
-        return self._cache[name]
+        if law.heterogeneous:
+            return build()
+        c_minus = np.asarray(law.c_minus, dtype=float)
+        return self.mesh.cached((name, law.xi, c_minus.tobytes()), build)
 
-    @property
+    @cached_property
     def elastic_matrix_prev(self):
         """Elasticity stiffness with C(phi^{n-1})."""
         law = self.params.elastic
-        return self.frozen_operator(
+        return self._shared(
             "A_prev",
             lambda: grid.assemble_vector_elasticity(
                 self.mesh, law.c_minus, self.pi_prev_qp, law.delta
             ),
         )
 
-    @property
+    @cached_property
+    def elastic_factor_prev(self):
+        """(A, solve): the free block A of ``elastic_matrix_prev`` and its
+        banded Cholesky solve (``grid.factorize_spd``)."""
+
+        def build():
+            free = self.mesh.free_u_dofs
+            A = self.elastic_matrix_prev[free][:, free]
+            return A, grid.factorize_spd(A)
+
+        return self._shared("elast_cholesky", build)
+
+    @cached_property
     def coupling_prev(self):
         """G[i,a] = int p_i * xi I:C(phi^{n-1}) B_a dx."""
-        return self.frozen_operator(
+        return self._shared(
             "G_prev",
             lambda: grid.assemble_coupling(
                 self.mesh, self.params.elastic.swelling_row(self.pi_prev_qp)
@@ -192,12 +170,11 @@ class SchemeContext:
         """xi^2 I:C(phi^{n-1})I at quadrature points."""
         return self.params.elastic.swelling_modulus(self.pi_prev_qp)
 
-    @property
+    @cached_property
     def coupled_mass_prev(self):
         """Weighted mass with weight xi^2 I:C(phi^{n-1})I."""
-        return self.frozen_operator(
-            "W_prev",
-            lambda: grid.assemble_weighted_mass(self.mesh, self.ici_prev_qp),
+        return self._shared(
+            "W_prev", lambda: grid.assemble_weighted_mass(self.mesh, self.ici_prev_qp)
         )
 
     @cached_property
@@ -305,13 +282,9 @@ def _residual(state, ctx, u_rows):
     """
     mesh = ctx.mesh
     params = ctx.params
-    M, K = ctx.M, ctx.K
+    M, K = mesh.mass, mesh.stiffness
     phi_qp = grid.scalar_at_qp(mesh, state.phi)
-    r_phi = (
-        M @ ((state.phi - ctx.prev.phi) / params.tau)
-        + params.m * (K @ state.mu)
-        - ctx.R_load
-    )
+    r_phi = M @ ((state.phi - ctx.prev.phi) / params.tau) + params.m * (K @ state.mu)
     r_mu = M @ state.mu - params.gamma * params.ell * (K @ state.phi)
     psi_c = params.double_well.psi_c_prime(phi_qp)
     if ctx.scheme_kind == "implicit":
@@ -328,18 +301,13 @@ def _residual(state, ctx, u_rows):
             r_u = np.bincount(
                 mesh.u_dofs.ravel(), weights=mats.ravel(), minlength=2 * mesh.node_count
             )
-            r_u -= ctx.f_load
     else:
         r_mu -= (params.gamma / params.ell) * grid.assemble_scalar_load(mesh, psi_c)
         r_mu += ctx.frozen_mu_load
         r_mu += ctx.coupling_prev @ (state.u - ctx.prev.u)
         r_mu -= ctx.coupled_mass_prev @ (state.phi - ctx.prev.phi)
         if u_rows:
-            r_u = (
-                ctx.elastic_matrix_prev @ state.u
-                - ctx.coupling_prev.T @ state.phi
-                - ctx.f_load
-            )
+            r_u = ctx.elastic_matrix_prev @ state.u - ctx.coupling_prev.T @ state.phi
 
     out = np.concatenate([r_phi, r_mu, r_u] if u_rows else [r_phi, r_mu])
     if not np.all(np.isfinite(out)):
@@ -352,7 +320,7 @@ def residual(state, ctx):
 
     The homogeneous and semi-implicit schemes evaluate the elastic rows as
     matvecs with the operators of ``jacobian``: the u rows are
-    A_prev u - G_prev^T phi - f, the mu rows as in ``_residual``.
+    A_prev u - G_prev^T phi, the mu rows as in ``_residual``.
     The implicit scheme evaluates stress and coupling at quadrature points
     (``_implicit_elastic_qp``).
     """
@@ -387,7 +355,7 @@ def _phase_field_blocks(ctx, phi_qp, fields):
     """
     params = ctx.params
     law = params.elastic
-    M, K = ctx.M.data, ctx.K.data
+    M, K = ctx.mesh.mass.data, ctx.mesh.stiffness.data
     psi_cc = grid.assemble_weighted_mass(
         ctx.mesh, params.double_well.psi_c_second(phi_qp)
     ).data
@@ -462,19 +430,20 @@ def ch_jacobian(state, ctx):
 # Energies and step potentials
 # ---------------------------------------------------------------------------
 
-def _energies(state, params, psi, stiffness):
+def _energies(state, params, psi, pi=None):
     """phi at the quadrature points and the integrals of (gamma/ell) psi(phi),
     (gamma ell / 2) |grad phi|^2 and e : C e / 2 over the 2x2 rule, with
-    e = eps(u) - xi phi I and C = ``stiffness(phi)`` per point: the energy
-    and the step potential differ only in psi and C (Eyre 1998, MRS Proc. 529).
+    e = eps(u) - xi phi I and C = C_minus + pi Delta C per point, pi the
+    given weights or, if None, pi(phi) of the state: the energy and the step
+    potential differ only in psi and pi (Eyre 1998, MRS Proc. 529).
     """
-    mesh = state.mesh
+    mesh, law = state.mesh, params.elastic
     w = mesh.qp_weights
     phi_qp = grid.scalar_at_qp(mesh, state.phi)
     grad_qp = grid.gradient_at_qp(mesh, state.phi)
     e = grid.strain_at_qp(mesh, state.u)
-    e -= params.elastic.xi * phi_qp[..., None] * I_VOIGT
-    sig = np.einsum("eqcd,eqd->eqc", stiffness(phi_qp), e)
+    e -= law.xi * phi_qp[..., None] * I_VOIGT
+    sig = law.stress(e, law.weight(phi_qp) if pi is None else pi)
     chemical = (params.gamma / params.ell) * np.einsum("q,eq->", w, psi(phi_qp))
     gradient = 0.5 * params.gamma * params.ell * np.einsum(
         "q,eqd,eqd->", w, grad_qp, grad_qp
@@ -490,7 +459,7 @@ def free_energy(state, params):
     rule of ``_energies``), so it is the one to monitor for gradient
     stability.
     """
-    return _energies(state, params, params.double_well.psi, params.elastic.tensor)[1]
+    return _energies(state, params, params.double_well.psi)[1]
 
 
 def step_potential(state, ctx, mean_tol=1e-8):
@@ -498,9 +467,9 @@ def step_potential(state, ctx, mean_tol=1e-8):
 
     The chemical, gradient and elastic integrals of ``free_energy`` with the
     convex part Psi_c of the double well and the stiffness C(phi^{n-1}),
-    plus the dual-norm and the linear terms. The first term is the squared
-    weighted dual norm of the constrained increment, so the increment must
-    satisfy the mean constraint of the admissible space.
+    plus the dual-norm term and the explicit terms of phi^{n-1}. The first
+    term is the squared weighted dual norm of the constrained increment, so
+    the increment must satisfy the mean constraint of the admissible space.
     """
     if ctx.scheme_kind == "implicit":
         raise ValueError("no convex step potential exists for the implicit scheme")
@@ -508,10 +477,8 @@ def step_potential(state, ctx, mean_tol=1e-8):
 
     params = ctx.params
     w = ctx.mesh.qp_weights
-    s = state.phi - ctx.prev.phi - params.tau * ctx.R_nodal
-    dn = dual_norm(s, ctx.mesh, params.m, mean_tol=mean_tol)
-    c_prev = params.elastic.tensor(ctx.phi_prev_qp)
-    phi_qp, terms = _energies(state, params, params.double_well.psi_c, lambda _: c_prev)
+    dn = dual_norm(state.phi - ctx.prev.phi, ctx.mesh, params.m, mean_tol=mean_tol)
+    phi_qp, terms = _energies(state, params, params.double_well.psi_c, ctx.pi_prev_qp)
 
     value = (
         dn**2 / (2.0 * params.tau)
@@ -521,7 +488,6 @@ def step_potential(state, ctx, mean_tol=1e-8):
         - (params.gamma / params.ell) * np.einsum(
             "q,eq,eq->", w, ctx.psi_e_prime_prev_qp, phi_qp
         )
-        - float(ctx.f_load @ state.u)
         # Sign normalized so the scheme's mu-equation is the stationarity
         # condition of this functional: the explicit quadratic term enters
         # the potential with the same sign it carries in the coupling term.

@@ -424,16 +424,16 @@ def solve_elasticity_block(ctx, state):
     C(phi) of the current iterate, from pi(phi) at the quadrature points
     (``ElasticLaw.weight``), and factors A every call. The frozen schemes
     (homogeneous, semi-implicit) use A and G at C(phi^{n-1}), with the free
-    block of A and its factor built once through
-    ``SchemeContext.frozen_operator``: once per step for a heterogeneous law,
-    once per mesh, ``xi`` and ``c_minus`` for a law with Delta C = 0, whose
-    C(phi^{n-1}) is C_minus. Either way the free block, symmetric
-    positive definite and banded in the ascending order of the free dofs,
-    is factored by ``grid.factorize_spd`` (banded Cholesky), so a failed
-    factorization raises ``grid.SingularSystemError``; the system is solved
-    by ``grid.solve_linear``, which checks the residual. Writes the free
-    dofs of state.u in place; its constrained dofs keep their values, zero
-    in every solver's iterate.
+    block of A and its factor built once
+    (``SchemeContext.elastic_factor_prev``): once per step for a
+    heterogeneous law, once per mesh, ``xi`` and ``c_minus`` for a law with
+    Delta C = 0, whose C(phi^{n-1}) is C_minus. Either way the free block,
+    symmetric positive definite and banded in the ascending order of the
+    free dofs, is factored by ``grid.factorize_spd`` (banded Cholesky), so
+    a failed factorization raises ``grid.SingularSystemError``; the system
+    is solved by ``grid.solve_linear``, which checks the residual. Writes
+    the free dofs of state.u in place; its constrained dofs keep their
+    values, zero in every solver's iterate.
     """
     mesh = ctx.mesh
     law = ctx.params.elastic
@@ -444,11 +444,9 @@ def solve_elasticity_block(ctx, state):
         G = grid.assemble_coupling(mesh, law.swelling_row(pi))
         solve = grid.factorize_spd(A)
     else:
-        A = ctx.frozen_operator("A_free", lambda: ctx.elastic_matrix_prev[free][:, free])
-        solve = ctx.frozen_operator("elast_cholesky", lambda: grid.factorize_spd(A))
+        A, solve = ctx.elastic_factor_prev
         G = ctx.coupling_prev
-    rhs = ctx.f_load + G.T @ state.phi
-    state.u[free] = grid.solve_linear(A, rhs[free], solve)
+    state.u[free] = grid.solve_linear(A, (G.T @ state.phi)[free], solve)
 
 
 # ---------------------------------------------------------------------------

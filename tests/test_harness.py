@@ -278,6 +278,16 @@ class TestSweeps:
         with pytest.raises(harness.ConfigError, match="^anderson_depth must be an integer"):
             harness.run_sweep(base, "anderson", values=(1.5,))
 
+    def test_every_config_is_checked_before_the_first_run(self, monkeypatch):
+        # monolithic accepts depth 0 but not depth 1: the sweep must fail
+        # before it spends a simulation on the valid first value
+        runs = []
+        monkeypatch.setattr(harness, "run_simulation", lambda cfg: runs.append(cfg))
+        base = harness.RunConfig(n=8, t_final=2e-5, strategy="monolithic")
+        with pytest.raises(harness.ConfigError, match="monolithic"):
+            harness.run_sweep(base, "anderson", values=(0, 1))
+        assert runs == []
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             harness.run_sweep(harness.RunConfig(), "tau")

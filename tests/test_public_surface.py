@@ -1,0 +1,74 @@
+"""Every public function and method of the package is used by the package.
+
+A public name that nothing in ``src/`` refers to is code without a caller.
+The exceptions are the names the benchmark's layer trace wraps (read from
+``benchmark/layertrace.py::boundaries()``, which fails on a missing name)
+and a few tools that only the tests and the user call.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cahnlarche"
+
+# Used by the tests and by a user of the API, not inside the package.
+TEST_SIDE_TOOLS = {
+    "RunConfig.to_text",  # writes a configuration file that from_text reads
+    "RunSummary.energies",  # the energy series of a run, as an array
+    "analysis.observed_rate",  # fits the rate of a convergence series
+    "analysis.monotonicity_violations",  # steps whose energy rises
+}
+
+
+def traced_names():
+    spec = importlib.util.spec_from_file_location(
+        "layertrace", ROOT / "benchmark" / "layertrace.py"
+    )
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    return {attr for _, attr, _, _ in layertrace.boundaries()}
+
+
+def definitions(tree, module):
+    """(qualified name, bare name) of every public module function and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{module}.{node.name}", node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def scan():
+    """The names ``src/`` refers to (as a name or an attribute, so matched by
+    name alone) and the public definitions, qualified and bare."""
+    referenced, defined = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+        defined += [d for d in definitions(tree, path.stem) if not d[1].startswith("_")]
+    return referenced, defined
+
+
+def test_every_public_function_is_referenced_in_src():
+    referenced, defined = scan()
+    exempt = traced_names()
+    unused = [
+        qualified for qualified, name in defined
+        if name not in referenced and name not in exempt and qualified not in TEST_SIDE_TOOLS
+    ]
+    assert unused == []
+
+
+def test_test_side_tools_are_defined_and_uncalled():
+    # a tool that gains a caller in src, or is deleted, leaves the list
+    referenced, defined = scan()
+    uncalled = {qualified for qualified, name in defined if name not in referenced}
+    assert TEST_SIDE_TOOLS <= uncalled

@@ -566,17 +566,30 @@ class TestElasticityBlock:
 
     @pytest.mark.parametrize("het, factors", [(False, 1), (True, 2)])
     def test_factor_count_of_two_steps_on_a_mesh(self, het, factors, monkeypatch):
-        # Two steps of one law on one mesh: a law with Delta C = 0 factors
-        # the elasticity once, for the mesh; a heterogeneous one once a step.
-        calls, factorize_spd = [], grid.factorize_spd
-        monkeypatch.setattr(grid, "factorize_spd", lambda A: calls.append(1) or factorize_spd(A))
+        # Two steps of one law on one mesh: a law with Delta C = 0 assembles
+        # its frozen operators (A, G and the weighted mass W) and factors the
+        # elasticity once, for the mesh; a heterogeneous one once a step.
+        # Within a step, every access returns the same object.
+        built = ("assemble_vector_elasticity", "assemble_coupling",
+                 "assemble_weighted_mass", "factorize_spd")
+        calls = dict.fromkeys(built, 0)
+        for name in built:
+            def counted(*args, _name=name, _f=getattr(grid, name)):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(grid, name, counted)
         ctx, prev = midsplit_ctx(kind="semi_implicit", het=het)
         for _ in range(2):
             ctx = schemes.SchemeContext(
                 prev=prev.copy(), params=ctx.params, scheme_kind=ctx.scheme_kind
             )
-            solvers.solve_elasticity_block(ctx, prev.copy())
-        assert len(calls) == factors
+            for _ in range(2):
+                solvers.solve_elasticity_block(ctx, prev.copy())
+            for name in ("elastic_matrix_prev", "elastic_factor_prev",
+                         "coupling_prev", "coupled_mass_prev"):
+                assert getattr(ctx, name) is getattr(ctx, name), name
+        assert calls == dict.fromkeys(built, factors)
 
     def test_bitwise_deterministic(self):
         ctx, prev = midsplit_ctx()
@@ -607,7 +620,7 @@ class TestElasticityBlock:
         ctx, prev = midsplit_ctx(kind="homogeneous", het=False)
         _, rep = solvers.alternating_minimization(ctx, prev, track_potential=True)
         assert rep.converged
-        keys = list(ctx.mesh._cache)
+        keys = list(ctx.mesh._built)
         assert ("elast_cholesky", ctx.params.elastic.xi) in [k[:2] for k in keys]
         assert all(isinstance(k, tuple) for k in keys), keys
 
