@@ -494,24 +494,21 @@ def assemble_stiffness(mesh):
     return mesh.pattern("scalar").assemble(mats)
 
 
-def assemble_vector_elasticity(mesh, c, pi_qp=None, delta=None):
+def assemble_vector_elasticity(mesh, c, pi_qp, delta):
     """Elasticity stiffness int (C eps(u)) : eps(v) dx on interleaved u dofs.
 
-    C is the constant (3,3) Voigt tensor ``c`` or, given the per-quadrature
-    weights ``pi_qp`` (n_elem, nq), C = c + pi_qp delta at each point: C(phi)
-    of an ``ElasticLaw`` with c = C_minus, delta = Delta C. Each element
-    matrix is then c's plus pi_qp @ ``Mesh.elasticity_basis(delta)``, one
+    C = c + pi_qp delta at each point, from the per-quadrature weights
+    ``pi_qp`` (n_elem, nq): C(phi) of an ``ElasticLaw`` with c = C_minus,
+    delta = Delta C; a constant C is the case pi_qp delta = 0. Each element
+    matrix is c's plus pi_qp @ ``Mesh.elasticity_basis(delta)``, one
     (n_elem, nq) @ (nq, 64) product for all elements. C must be symmetric
     positive definite, as every C(phi) of an ``ElasticLaw`` is.
     """
     C = np.asarray(c, dtype=float)
     B = mesh.b_matrices
     elem = np.einsum("q,qca,cd,qdb->ab", mesh.qp_weights, B, C, B)
-    if pi_qp is None:
-        mats = np.broadcast_to(elem, (mesh.element_count, 8, 8))
-    else:
-        mats = pi_qp @ mesh.elasticity_basis(delta)
-        mats += elem.ravel()
+    mats = pi_qp @ mesh.elasticity_basis(delta)
+    mats += elem.ravel()
     return mesh.pattern("vector").assemble(mats)
 
 
@@ -519,13 +516,11 @@ def assemble_coupling(mesh, voigt_vec_qp):
     """Coupling matrix G[i, a] = int p_i * (v . B_a) dx.
 
     voigt_vec_qp is a per-quadrature Voigt row vector, shape (n_elem, nq, 3),
-    or a constant (3,) one, which is broadcast to every point. Maps u dofs
-    (columns) to scalar test functions (rows). The element matrices are one
+    such as ``ElasticLaw.swelling_row``. Maps u dofs (columns) to scalar
+    test functions (rows). The element matrices are one
     (n_elem, 3 nq) @ (3 nq, 32) product with ``Mesh.coupling_basis``.
     """
-    v = np.asarray(voigt_vec_qp, dtype=float)
-    v = np.broadcast_to(v, (mesh.element_count, mesh.qp_weights.size, 3))
-    mats = v.reshape(mesh.element_count, -1) @ mesh.coupling_basis
+    mats = voigt_vec_qp.reshape(mesh.element_count, -1) @ mesh.coupling_basis
     return mesh.pattern("coupling").assemble(mats)
 
 

@@ -69,8 +69,13 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             setattr(self, name, int(value))  # a numpy integer becomes an int
+        if not isinstance(self.chord, (bool, np.bool_)):
+            raise ConfigError(f"chord must be a bool, got {self.chord!r}")
+        self.chord = bool(self.chord)
         for name in (f.name for f in fields(self) if f.type is float):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         for name, ok, need in (
@@ -239,8 +244,8 @@ def run_simulation(config, callback=None, estimate_bound=False):
     On a nonconverged step the run halts and records the step index and
     reason; all completed steps stay in the summary. ``callback`` receives
     (step_index, state, report) after every accepted step. One
-    ``solvers.LaggedLU`` serves the exact Newton solves of every step, so a
-    step starts from the previous step's last saddle LU.
+    ``solvers.LaggedLU`` serves every saddle LU of the run, so a step's
+    exact Newton solves start from the previous step's last LU.
     """
     mesh = grid.build_mesh(config.n)
     params = config.build_params()
@@ -325,17 +330,14 @@ def write_vtk(path, mesh, state, title="snapshot"):
         fh.write("DATASET STRUCTURED_GRID\n")
         fh.write(f"DIMENSIONS {n + 1} {n + 1} 1\n")
         fh.write(f"POINTS {mesh.node_count} double\n")
-        for x, y in mesh.nodes:
-            fh.write(f"{x:.10g} {y:.10g} 0\n")
+        np.savetxt(fh, mesh.nodes, fmt="%.10g %.10g 0")
         fh.write(f"POINT_DATA {mesh.node_count}\n")
         for name, vals in (("phi", state.phi), ("mu", state.mu)):
             fh.write(f"SCALARS {name} double 1\n")
             fh.write("LOOKUP_TABLE default\n")
-            for v in vals:
-                fh.write(f"{v:.10g}\n")
+            np.savetxt(fh, vals, fmt="%.10g")
         fh.write("VECTORS displacement double\n")
-        for ux, uy in zip(state.u[0::2], state.u[1::2]):
-            fh.write(f"{ux:.10g} {uy:.10g} 0\n")
+        np.savetxt(fh, state.u.reshape(-1, 2), fmt="%.10g %.10g 0")
 
 
 def write_outputs(summary, out_dir, mesh=None, snapshots=()):

@@ -26,9 +26,9 @@ chord) arrives from ``schemes`` in its symmetric saddle-point form on the
 free dofs, already in a nested-dissection order fixed by the mesh, and is
 factored in that order; the mesh's ``grid.SaddlePattern`` maps right-hand
 sides (``rows``) and solutions (``unknowns``) between the (phi, mu, u)
-layout and that form. Every LU is made by ``grid.factorize``. The
-elasticity block's stiffness, symmetric positive definite on the free dofs,
-is factored by banded Cholesky instead (``grid.factorize_spd``).
+layout and that form. Every saddle LU is made and held by a ``LaggedLU``.
+The elasticity block's stiffness, symmetric positive definite on the free
+dofs, is factored by banded Cholesky instead (``grid.factorize_spd``).
 
 The exact Newton solves (monolithic, and the phase-field block without the
 chord) reuse a lagged LU (``LaggedLU``): the latest saddle LU preconditions
@@ -41,11 +41,11 @@ to every time step, so a step's first matrix is solved with the previous
 step's last LU; a standalone ``newton_monolithic`` or
 ``alternating_minimization`` call makes its own. The chord solves every
 pass of a time step with one LU, of the block Jacobian at phi^{n-1}, held
-by that step's ``alternating_minimization`` call (``_chord``).
+by that same ``LaggedLU`` (``_chord``).
 """
 
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -178,25 +178,6 @@ def _iterate(state, residual, step, stopping, max_iter, exhausted, r=None):
     return state, report
 
 
-# Diagonal pivot threshold of the saddle-form factorization: SuperLU takes
-# the diagonal entry as pivot unless it is below this fraction of the
-# largest entry of its column.
-_SADDLE_PIVOT_THRESHOLD = 1e-3
-
-
-def _factor_saddle(S):
-    """SuperLU of the symmetric saddle matrix ``S``; returns its solve.
-
-    S arrives in the nested-dissection order of its ``grid.SaddlePattern``,
-    fixed by the mesh, so SuperLU keeps that order (it only post-orders the
-    elimination tree) and takes diagonal pivots.
-    """
-    return grid.factorize(
-        S, permc_spec="NATURAL", diag_pivot_thresh=_SADDLE_PIVOT_THRESHOLD,
-        options={"SymmetricMode": True},
-    )
-
-
 # At most this many GMRES steps are tried with the held LU before a saddle
 # matrix is factored afresh. Chosen on am-anderson-n32 and
 # spinodal-newton-n32 (see ROADMAP, Recent).
@@ -263,15 +244,22 @@ def _gmres(S, d, precond, b):
     return sum((yi * z for yi, z in zip(y, Z)), np.zeros_like(c))
 
 
+# Diagonal pivot threshold of the saddle-form factorization: SuperLU takes
+# the diagonal entry as pivot unless it is below this fraction of the
+# largest entry of its column.
+_SADDLE_PIVOT_THRESHOLD = 1e-3
+
+
 class LaggedLU:
     """The latest saddle LU of one sequence of Newton solves.
 
     A lagged preconditioner (Knoll & Keyes 2004, J. Comput. Phys. 193): a
     new saddle matrix is first solved by ``_gmres`` with the held LU, and
     factored, its LU then held instead, only when that iterate fails the
-    residual check. One instance lives for one ``harness.run_simulation``
-    call, or for one solver call made on its own, never on a cache, so no
-    result depends on earlier runs.
+    residual check; the chord's LU (``_chord``) is held here too. One
+    instance lives for one ``harness.run_simulation`` call, or for one
+    solver call made on its own, never on a cache, so no result depends on
+    earlier runs.
     """
 
     def __init__(self):
@@ -279,9 +267,16 @@ class LaggedLU:
         self.size = 0
 
     def factor(self, S):
-        """``_factor_saddle(S)``, held from now on."""
+        """SuperLU of the symmetric saddle matrix ``S``; its solve, held from
+        now on. S arrives in the nested-dissection order of its
+        ``grid.SaddlePattern``, fixed by the mesh, so SuperLU keeps that
+        order (it only post-orders the elimination tree) and takes diagonal
+        pivots."""
         self.solve = None  # free the old LU before the new one is built
-        self.solve = _factor_saddle(S)
+        self.solve = grid.factorize(
+            S, permc_spec="NATURAL", diag_pivot_thresh=_SADDLE_PIVOT_THRESHOLD,
+            options={"SymmetricMode": True},
+        )
         self.size = S.shape[0]
         return self.solve
 
@@ -385,19 +380,25 @@ _ch_residual = schemes.ch_residual
 _ch_jacobian = schemes.ch_jacobian
 
 
-def _chord(ctx):
+def _chord(ctx, lagged):
     """Chord increments of the phase-field block, from one LU of its
-    Jacobian at phi^{n-1}, held by the returned solve.
+    Jacobian at phi^{n-1}, held by the ``LaggedLU`` ``lagged``.
 
     The converged solution is unchanged (the residual test is exact); only
     the inner linearization is frozen, saving one factorization per inner
-    iteration. The LU is made on first use, inside a Newton step, so that
-    its failure is the block's reported "linear solve failed". Its solves
-    are not residual-checked.
+    iteration. The LU is made at the first increment of the returned solve,
+    inside a Newton step, so that its failure is the block's reported
+    "linear solve failed". Its solves are not residual-checked.
     """
-    lu = cache(lambda: _factor_saddle(_ch_jacobian(ctx.prev.copy(), ctx)))
     pattern = ctx.mesh.saddle_pattern(full=False)
-    return lambda state, r: pattern.unknowns(lu()(pattern.rows(-r, ctx.params.tau)), r.size)
+    lagged.solve = None  # an LU held from before is not of this step's matrix
+
+    def solve(state, r):
+        if lagged.solve is None:
+            lagged.factor(_ch_jacobian(ctx.prev.copy(), ctx))
+        return pattern.unknowns(lagged.solve(pattern.rows(-r, ctx.params.tau)), r.size)
+
+    return solve
 
 
 def newton_ch_block(ctx, state, *, r, solve=None, stopping=None, max_iter=50):
@@ -475,11 +476,11 @@ def alternating_minimization(
     iterate ``state.x`` may then be mixed by Anderson acceleration of the
     given depth (0 = plain iteration). The outer loop stops on the full
     coupled residual by the ``stopping`` rule. The block's Newton solve and
-    its rule are chosen once per call: with ``chord`` the LU of the block
-    Jacobian at phi^{n-1} (``_chord``), held for this call, which is one
-    time step, and the whole ``stopping`` rule; otherwise exact Newton,
-    whose solves share the ``LaggedLU`` ``lagged`` (a fresh one if not
-    given), and the residual half of ``stopping`` (``_ResidualRule``), so
+    its rule are chosen once per call, and hold their LU in the ``LaggedLU``
+    ``lagged`` (a fresh one if not given): with ``chord`` the LU of the
+    block Jacobian at phi^{n-1} (``_chord``), made once for this call, which
+    is one time step, and the whole ``stopping`` rule; otherwise exact
+    Newton, and the residual half of ``stopping`` (``_ResidualRule``), so
     the block stops at its first pass whose residual meets the test. The
     block has at most ``_INNER_MAX_ITER[chord]`` passes; the report's
     ``inner_iterations`` totals them. With ``track_potential`` the
@@ -488,8 +489,9 @@ def alternating_minimization(
     """
     stopping = stopping or StoppingRule()
     window = AndersonWindow(anderson_depth)
+    lagged = LaggedLU() if lagged is None else lagged
     if chord:
-        solve, inner_rule = _chord(ctx), stopping
+        solve, inner_rule = _chord(ctx, lagged), stopping
     else:
         solve, inner_rule = _exact(_ch_jacobian, ctx, lagged), _ResidualRule(stopping.tol)
     potentials, inner_passes = [], []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cahnlarche as cl
-from cahnlarche import grid, harness
+from cahnlarche import grid, harness, schemes
 
 
 class TestRunConfig:
@@ -42,11 +42,19 @@ class TestRunConfig:
          ("t_final", 0.0),
          # float fields take finite values only
          ("tolerance", np.inf), ("gamma", np.inf), ("tau", np.inf), ("ell", np.inf),
-         ("t_final", np.nan), ("m", np.nan), ("xi", np.nan), ("theta", np.nan)],
+         ("t_final", np.nan), ("m", np.nan), ("xi", np.nan), ("theta", np.nan),
+         # float fields take real numbers only, never a bool or a string
+         ("tau", True), ("gamma", "5"), ("m", True), ("xi", None),
+         # chord takes a bool only: "no" must not turn it on
+         ("chord", "no"), ("chord", 1), ("chord", None)],
     )
     def test_rejects_invalid_field(self, field, value):
         with pytest.raises(harness.ConfigError, match=f"^{field} must be"):
             harness.RunConfig(**{field: value})
+
+    def test_accepts_numpy_bool_chord(self):
+        cfg = harness.RunConfig(chord=np.bool_(True))
+        assert cfg.chord is True
 
     def test_accepts_numpy_integers(self):
         cfg = harness.RunConfig(n=np.int64(8), anderson_depth=np.int32(2), seed=np.uint8(3))
@@ -254,6 +262,32 @@ class TestOutputs:
         assert f"POINTS {mesh.node_count} double" in lines
         assert any(l.startswith("SCALARS phi") for l in lines)
         assert any(l.startswith("VECTORS displacement") for l in lines)
+
+    def test_vtk_values_match_per_value_formatting(self, tmp_path):
+        # the blocks written by np.savetxt are the text of f"{v:.10g}" per
+        # value, signed zeros and subnormal-range values included
+        mesh = grid.build_mesh(4)
+        state = schemes.State.zeros(mesh)
+        rng = np.random.default_rng(1)
+        state.x[:] = rng.standard_normal(state.x.size) * 10.0 ** rng.integers(
+            -300, 300, state.x.size
+        )
+        state.x[:6] = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1 / 3]
+        path = tmp_path / "s.vtk"
+        harness.write_vtk(path, mesh, state, "t")
+        n = mesh.n_per_side
+        want = [
+            "# vtk DataFile Version 3.0", "t", "ASCII", "DATASET STRUCTURED_GRID",
+            f"DIMENSIONS {n + 1} {n + 1} 1", f"POINTS {mesh.node_count} double",
+            *(f"{x:.10g} {y:.10g} 0" for x, y in mesh.nodes),
+            f"POINT_DATA {mesh.node_count}",
+        ]
+        for name, vals in (("phi", state.phi), ("mu", state.mu)):
+            want += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+            want += [f"{v:.10g}" for v in vals]
+        want.append("VECTORS displacement double")
+        want += [f"{ux:.10g} {uy:.10g} 0" for ux, uy in zip(state.u[0::2], state.u[1::2])]
+        assert path.read_text() == "\n".join(want) + "\n"
 
 
 class TestSweeps:

@@ -1,9 +1,11 @@
-"""Every public function and method of the package is used by the package.
+"""Every function and method of the package is used by the package.
 
-A public name that nothing in ``src/`` refers to is code without a caller.
-The exceptions are the names the benchmark's layer trace wraps (read from
-``benchmark/layertrace.py::boundaries()``, which fails on a missing name)
-and a few tools that only the tests and the user call.
+A name that nothing in ``src/`` refers to is code without a caller. For
+public names the exceptions are the names the benchmark's layer trace wraps
+(read from ``benchmark/layertrace.py::boundaries()``, which fails on a
+missing name) and a few tools that only the tests and the user call. A
+private name has no exception: a leftover helper that only tests reach
+fails. Dunder methods are called by Python and are not checked.
 """
 
 import ast
@@ -32,7 +34,7 @@ def traced_names():
 
 
 def definitions(tree, module):
-    """(qualified name, bare name) of every public module function and method."""
+    """(qualified name, bare name) of every module function and method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield f"{module}.{node.name}", node.name
@@ -44,7 +46,7 @@ def definitions(tree, module):
 
 def scan():
     """The names ``src/`` refers to (as a name or an attribute, so matched by
-    name alone) and the public definitions, qualified and bare."""
+    name alone) and the definitions other than dunders, qualified and bare."""
     referenced, defined = set(), []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -53,7 +55,10 @@ def scan():
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-        defined += [d for d in definitions(tree, path.stem) if not d[1].startswith("_")]
+        defined += [
+            d for d in definitions(tree, path.stem)
+            if not (d[1].startswith("__") and d[1].endswith("__"))
+        ]
     return referenced, defined
 
 
@@ -62,9 +67,17 @@ def test_every_public_function_is_referenced_in_src():
     exempt = traced_names()
     unused = [
         qualified for qualified, name in defined
-        if name not in referenced and name not in exempt and qualified not in TEST_SIDE_TOOLS
+        if not name.startswith("_") and name not in referenced and name not in exempt
+        and qualified not in TEST_SIDE_TOOLS
     ]
     assert unused == []
+
+
+def test_every_private_function_is_referenced_in_src():
+    referenced, defined = scan()
+    private = [(qualified, name) for qualified, name in defined if name.startswith("_")]
+    assert private  # the scan sees them
+    assert [qualified for qualified, name in private if name not in referenced] == []
 
 
 def test_test_side_tools_are_defined_and_uncalled():

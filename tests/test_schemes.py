@@ -221,7 +221,9 @@ def test_newton_steps_conserve_mass_at_generated_states(kind, data):
     for new, rep in (
         solvers.newton_monolithic(ctx, state, max_iter=1),
         solvers.newton_ch_block(ctx, state, r=r, max_iter=1),
-        solvers.newton_ch_block(ctx, state, r=r, solve=solvers._chord(ctx), max_iter=1),
+        solvers.newton_ch_block(
+            ctx, state, r=r, solve=solvers._chord(ctx, solvers.LaggedLU()), max_iter=1
+        ),
     ):
         assert len(rep.increment_norms) == 1, rep.reason
         assert abs(mass(new) - mass(ctx.prev)) <= 1e-9

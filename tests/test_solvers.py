@@ -19,6 +19,16 @@ def midsplit_ctx(n=8, kind="semi_implicit", gamma=5.0, xi=1.0, het=True):
     return ctx, prev
 
 
+def count_saddle_factors(monkeypatch):
+    """A list that gains an entry at every saddle LU made from now on:
+    ``LaggedLU.factor`` is the only maker."""
+    factors, factor = [], solvers.LaggedLU.factor
+    monkeypatch.setattr(
+        solvers.LaggedLU, "factor", lambda self, S: factors.append(1) or factor(self, S)
+    )
+    return factors
+
+
 class TestStoppingRule:
     rule = solvers.StoppingRule()
 
@@ -260,7 +270,7 @@ class TestSaddleForm:
             solvers, "_ch_jacobian", lambda st, c: self.singular(jac(st, c))
         )
         r = schemes.ch_residual(state, ctx)
-        solve = solvers._chord(ctx) if chord else None
+        solve = solvers._chord(ctx, solvers.LaggedLU()) if chord else None
         _, rep = solvers.newton_ch_block(ctx, state, r=r, solve=solve)
         assert not rep.converged
         assert rep.reason.startswith("linear solve failed")
@@ -405,14 +415,11 @@ class TestLaggedLU:
         assert r1 == r2
 
     def test_fewer_block_factorizations_than_inner_iterations(self, monkeypatch):
-        factor_saddle, newton_ch_block = solvers._factor_saddle, solvers.newton_ch_block
+        newton_ch_block = solvers.newton_ch_block
 
         def step(gmres_steps):
             monkeypatch.setattr(solvers, "_LAGGED_GMRES_STEPS", gmres_steps)
-            factors, inner = [], []
-            monkeypatch.setattr(
-                solvers, "_factor_saddle", lambda S: factors.append(1) or factor_saddle(S)
-            )
+            factors, inner = count_saddle_factors(monkeypatch), []
 
             def counted_block(*args, **kwargs):
                 state, report = newton_ch_block(*args, **kwargs)
@@ -448,12 +455,9 @@ class TestRunLongLaggedLU:
     def run(monkeypatch, config, per_step):
         """The run's summary and count of saddle factorizations; with
         ``per_step`` every step makes its own LaggedLU."""
-        factor_saddle, solve_step = solvers._factor_saddle, solvers.solve_step
-        factors = []
+        solve_step = solvers.solve_step
         with monkeypatch.context() as mp:
-            mp.setattr(
-                solvers, "_factor_saddle", lambda S: factors.append(1) or factor_saddle(S)
-            )
+            factors = count_saddle_factors(mp)
             if per_step:
                 mp.setattr(
                     solvers, "solve_step",
@@ -528,10 +532,14 @@ class TestElasticityBlock:
         state = prev.copy()
         solvers.solve_elasticity_block(ctx, state)
 
-        A = grid.assemble_vector_elasticity(mesh, law.c_minus).toarray()
-        G = grid.assemble_coupling(
-            mesh, law.xi * (np.array([1.0, 1.0, 0.0]) @ law.c_minus)
-        ).toarray()
+        # dense constant-C operators, scattered element by element
+        B, w, N = mesh.b_matrices, mesh.qp_weights, mesh.shape_vals
+        v = law.xi * (np.array([1.0, 1.0, 0.0]) @ law.c_minus)
+        A = np.zeros((2 * mesh.node_count,) * 2)
+        G = np.zeros((mesh.node_count, 2 * mesh.node_count))
+        for nodes, dofs in zip(mesh.elements, mesh.u_dofs):
+            A[np.ix_(dofs, dofs)] += np.einsum("q,qca,cd,qdb->ab", w, B, law.c_minus, B)
+            G[np.ix_(nodes, dofs)] += np.einsum("q,qi,c,qca->ia", w, N, v, B)
         rhs = G.T @ prev.phi
         c = ctx.mesh.constrained_u_dofs
         keep = np.setdiff1d(np.arange(2 * mesh.node_count), c)
@@ -724,10 +732,7 @@ class TestAlternatingMinimization:
     def test_chord_factors_one_lu_per_step(self, kind, monkeypatch):
         # The chord's LU is made once per time step and held for all of the
         # step's outer iterations.
-        factor_saddle, factors = solvers._factor_saddle, []
-        monkeypatch.setattr(
-            solvers, "_factor_saddle", lambda S: factors.append(1) or factor_saddle(S)
-        )
+        factors = count_saddle_factors(monkeypatch)
         summary = harness.run_simulation(
             harness.RunConfig(
                 n=8, t_final=4e-5, scheme=kind, strategy="alternating", chord=True
@@ -736,6 +741,18 @@ class TestAlternatingMinimization:
         assert summary.completed and len(summary.steps) == 5
         assert min(s.loops for s in summary.steps[1:]) > 1
         assert len(factors) == 4
+
+    def test_chord_lu_is_held_by_the_lagged_lu(self):
+        # The chord factors the block Jacobian at phi^{n-1} into the LaggedLU
+        # it is given, which holds that LU after the step.
+        ctx, prev = midsplit_ctx()
+        lagged = solvers.LaggedLU()
+        _, rep = solvers.alternating_minimization(ctx, prev, chord=True, lagged=lagged)
+        assert rep.converged
+        S = schemes.ch_jacobian(ctx.prev.copy(), ctx)
+        b = np.random.default_rng(0).standard_normal(S.shape[0])
+        assert lagged.holds_for(S)
+        assert np.array_equal(lagged.solve(b), solvers.LaggedLU().factor(S)(b))
 
     def test_chord_matches_exact_newton_solution(self):
         ctx, prev = midsplit_ctx()
@@ -816,7 +833,8 @@ SOLVES = {
         ctx, s, r=schemes.ch_residual(s, ctx), max_iter=3
     ),
     "chord block": lambda ctx, s: solvers.newton_ch_block(
-        ctx, s, r=schemes.ch_residual(s, ctx), solve=solvers._chord(ctx), max_iter=3
+        ctx, s, r=schemes.ch_residual(s, ctx), max_iter=3,
+        solve=solvers._chord(ctx, solvers.LaggedLU()),
     ),
     "am": _am(0, False),
     "am chord": _am(0, True),
