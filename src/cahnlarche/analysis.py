@@ -4,14 +4,14 @@ The alternating-minimization analysis controls the iteration through three
 mesh-dependent quantities: the Poincaré constant of the mean-zero space,
 an inverse-estimate constant relating the L2 norm to the weighted dual
 norm, and the spectral bounds of the stiffness-tensor interpolation. This
-module computes all of them numerically and assembles the convergence-rate
-bound from them.
+module computes all of them numerically, from the 1-D pencil of the tensor
+grid (the dual norm in closed form on its eigenbasis), and assembles the
+convergence-rate bound from them.
 """
 
 from dataclasses import dataclass, asdict
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh
 
 from . import grid
@@ -22,33 +22,33 @@ from . import grid
 # ---------------------------------------------------------------------------
 
 def dual_norm(s, mesh, mobility=1.0, mean_tol=1e-8):
-    """Weighted H^-1-type dual norm of a nodal functional density s.
-
-    Solves (m grad v, grad q) = (s, q) for all q, with the mean of v pinned
-    through a Lagrange multiplier, and returns sqrt(v^T (m K) v). The datum
-    must have (numerically) zero mean against the mass matrix.
+    """Weighted H^-1-type dual norm of a nodal functional density s:
+    sqrt(v^T (m K) v) for the mean-zero v with (m grad v, grad q) = (s, q)
+    for all q. In closed form on the 1-D pencil (K1, M1) of ``_pencil_1d``,
+    whose products are the 2-D eigenvectors (Lynch, Rice & Thomas 1964,
+    Numer. Math. 6): with K1 V = M1 V Lambda, V^T M1 V = I, W = M1 V and
+    c = W^T S W for the values S of s on the (n+1) x (n+1) grid, the squared
+    norm is the sum of c_ij^2 / (m (lambda_i + lambda_j)) over
+    (i, j) != (0, 0). W and the sums are kept on the mesh for every
+    mobility. The datum must have (numerically) zero mean against the mass
+    matrix.
     """
-    M, K = mesh.mass, mesh.stiffness
-    rhs_s = M @ np.asarray(s, dtype=float)
+    s = np.asarray(s, dtype=float)
+    rhs_s = mesh.mass @ s
     total = float(np.sum(rhs_s))
-    area = float(M.sum())
-    if abs(total) > mean_tol * max(1.0, np.linalg.norm(rhs_s)) and abs(
-        total
-    ) > mean_tol * area:
-        raise ValueError(
-            f"dual norm needs a mean-zero datum; integral = {total:.3e}"
-        )
+    if abs(total) > mean_tol * max(1.0, np.linalg.norm(rhs_s), float(mesh.mass.sum())):
+        raise ValueError(f"dual norm needs a mean-zero datum; integral = {total:.3e}")
 
     def build():
-        a = M @ np.ones(mesh.node_count)
-        A = sp.bmat([[mobility * K, a[:, None]], [a[None, :], None]], format="csc")
-        return grid.factorize(A)
+        K1, M1 = _pencil_1d(mesh)
+        lam, V = eigh(K1, M1)
+        pairs = lam[:, None] + lam[None, :]
+        pairs[0, 0] = np.inf  # the constants carry no dual norm
+        return pairs, M1 @ V
 
-    solve = mesh.cached(("dual_factor", float(mobility)), build)
-    rhs = np.concatenate([rhs_s - total / area * (M @ np.ones(mesh.node_count)), [0.0]])
-    v = solve(rhs)[:-1]
-    val = mobility * float(v @ (K @ v))
-    return float(np.sqrt(max(val, 0.0)))
+    pairs, W = mesh.cached(("dual_eigenbasis",), build)
+    c = W.T @ s.reshape(W.shape) @ W
+    return float(np.sqrt(np.sum(c * c / pairs) / mobility))
 
 
 # ---------------------------------------------------------------------------

@@ -11,48 +11,41 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import analysis, grid, harness
 
 
 def _add_common(p):
+    """The flags of every subcommand. Each flag other than ``--config`` is
+    stored under the name of its ``RunConfig`` field, and only when given."""
     p.add_argument("--config", help="path to an INI configuration file")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="random seed")
+    unset = argparse.SUPPRESS
+    p.add_argument("--out", dest="out_dir", default=unset, help="output directory")
+    p.add_argument("--seed", type=int, default=unset, help="random seed")
     p.add_argument(
-        "--strategy", choices=harness.STRATEGIES, default=None,
+        "--strategy", choices=harness.STRATEGIES, default=unset,
         help="nonlinear solve strategy",
     )
     p.add_argument(
-        "--scheme", choices=harness.SCHEMES, default=None, help="time scheme"
+        "--scheme", choices=harness.SCHEMES, default=unset, help="time scheme"
     )
     p.add_argument(
-        "--depth", type=int, default=None, help="Anderson acceleration depth"
+        "--depth", dest="anderson_depth", type=int, default=unset,
+        help="Anderson acceleration depth",
     )
-    p.add_argument("--n", type=int, default=None, help="mesh resolution")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--xi", type=float, default=None)
-    p.add_argument("--t-final", type=float, default=None)
-    p.add_argument("--init", choices=harness.INITS, default=None)
+    p.add_argument("--n", type=int, default=unset, help="mesh resolution")
+    p.add_argument("--gamma", type=float, default=unset)
+    p.add_argument("--xi", type=float, default=unset)
+    p.add_argument("--t-final", type=float, default=unset)
+    p.add_argument("--init", choices=harness.INITS, default=unset)
 
 
 def _load_config(args):
     """The run's config: the flags given, set over the ``--config`` file's
     fields or the defaults."""
-    overrides = {
-        "out_dir": args.out,
-        "seed": args.seed,
-        "strategy": args.strategy,
-        "scheme": args.scheme,
-        "anderson_depth": args.depth,
-        "n": args.n,
-        "gamma": args.gamma,
-        "xi": args.xi,
-        "t_final": args.t_final,
-        "init": args.init,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
+    names = {f.name for f in fields(harness.RunConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in names}
     if args.config:
         return harness.RunConfig.from_file(args.config, **overrides)
     return harness.RunConfig(**overrides)
@@ -68,10 +61,9 @@ def cmd_run(args):
             snapshots.append((f"{step:06d}", state.copy()))
 
     summary = harness.run_simulation(cfg, callback=callback, estimate_bound=True)
-    mesh = summary.final_state.mesh
-    snapshots.insert(0, ("initial", harness.initial_state(mesh, cfg)))
+    snapshots.insert(0, ("initial", harness.initial_state(summary.final_state.mesh, cfg)))
     snapshots.append(("final", summary.final_state))
-    harness.write_outputs(summary, cfg.out_dir, mesh=mesh, snapshots=snapshots)
+    harness.write_outputs(summary, cfg.out_dir, snapshots=snapshots)
     status = "completed" if summary.completed else (
         f"failed at step {summary.failed_at_step}: {summary.failure_reason}"
     )

@@ -4,10 +4,10 @@ Provides the mesh, quadrature, assembly primitives (scalar mass/stiffness,
 vector elasticity, scalar-vector coupling, load vectors) on sparsity patterns
 fixed per mesh, the saddle form of the Newton matrices in a nested-dissection
 order of the grid (``SaddlePattern``) and symmetric Dirichlet elimination.
-``factorize`` makes every SuperLU factorization of the package,
-``factorize_spd`` the banded Cholesky factor of a symmetric positive
+``factorize_spd`` makes the banded Cholesky factor of a symmetric positive
 definite matrix (the free elasticity block), and ``solve_linear`` checks
-the residual of a solve it is given, direct or iterative. The elasticity
+the residual of a solve it is given, direct or iterative; SuperLU is
+called by ``solvers.LaggedLU`` alone. The elasticity
 of C(phi) = C_minus + pi(phi) Delta C is assembled from the weights pi at
 the quadrature points alone: one product with the per-point element
 matrices of Delta C, built once per mesh (``Mesh.elasticity_basis``); the
@@ -22,7 +22,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 # Voigt convention: strain (e11, e22, 2*e12), stress (s11, s22, s12).
@@ -573,19 +572,6 @@ def eliminate_dirichlet(matrix, rhs, dofs, values=None):
     return A, b
 
 
-def factorize(matrix, **options):
-    """The solve function of ``spla.splu(matrix, **options)``.
-
-    Every SuperLU factorization of the package is made here, so that each
-    failure is reported alike: a RuntimeError of SuperLU (an exactly
-    singular matrix) is raised as ``SingularSystemError``.
-    """
-    try:
-        return spla.splu(matrix, **options).solve
-    except RuntimeError as exc:
-        raise SingularSystemError(f"factorization failed: {exc}") from exc
-
-
 def _lower_band(matrix):
     """The lower triangle of the square sparse ``matrix`` in LAPACK's band
     storage: entry (i, j), i >= j, at [i - j, j] of a Fortran-ordered
@@ -606,8 +592,7 @@ def factorize_spd(matrix):
 
     The band is that of the stored pattern in the matrix's own order: the
     free elasticity dofs, ascending, give a half-bandwidth of 2n + 1. A
-    matrix that is not positive definite raises ``SingularSystemError``,
-    as ``factorize`` does for SuperLU's failures.
+    matrix that is not positive definite raises ``SingularSystemError``.
     """
     factor, info = lapack.dpbtrf(_lower_band(matrix), lower=1, overwrite_ab=1)
     if info != 0:
@@ -629,7 +614,7 @@ def factorize_spd(matrix):
 def solve_linear(matrix, rhs, solve, row_scale=None):
     """``solve(rhs)``, checked as a solution of ``matrix`` x = ``rhs``.
 
-    ``solve`` may be an LU or Cholesky solve (``factorize``,
+    ``solve`` may be an LU or Cholesky solve (``solvers.LaggedLU``,
     ``factorize_spd``) or an iterative one. A result that is non-finite or
     whose relative residual exceeds ``RESIDUAL_TOL`` raises
     ``SingularSystemError``. When ``matrix`` is D A with the row scales D

@@ -320,8 +320,10 @@ def _make_record(step, time, iterations, loops, inner_loops, residual, state, pa
 # Outputs
 # ---------------------------------------------------------------------------
 
-def write_vtk(path, mesh, state, title="snapshot"):
-    """Legacy ASCII VTK 3.0 structured-grid snapshot of (phi, mu, u)."""
+def write_vtk(path, state, title="snapshot"):
+    """Legacy ASCII VTK 3.0 structured-grid snapshot of (phi, mu, u) on the
+    state's mesh."""
+    mesh = state.mesh
     n = mesh.n_per_side
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
@@ -340,8 +342,9 @@ def write_vtk(path, mesh, state, title="snapshot"):
         np.savetxt(fh, state.u.reshape(-1, 2), fmt="%.10g %.10g 0")
 
 
-def write_outputs(summary, out_dir, mesh=None, snapshots=()):
-    """Write energy.csv, iterations.csv, run.json and any VTK snapshots."""
+def write_outputs(summary, out_dir, snapshots=()):
+    """Write energy.csv, iterations.csv, run.json and a VTK file per
+    (label, state) snapshot."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "energy.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -383,11 +386,8 @@ def write_outputs(summary, out_dir, mesh=None, snapshots=()):
     with open(os.path.join(out_dir, "run.json"), "w") as fh:
         json.dump(meta, fh, indent=2, allow_nan=False)
 
-    if mesh is not None:
-        for label, state in snapshots:
-            write_vtk(
-                os.path.join(out_dir, f"snapshot_{label}.vtk"), mesh, state, label
-            )
+    for label, state in snapshots:
+        write_vtk(os.path.join(out_dir, f"snapshot_{label}.vtk"), state, label)
 
 
 # ---------------------------------------------------------------------------

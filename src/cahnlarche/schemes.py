@@ -21,7 +21,8 @@ on the 2x2 rule the residuals use: the discrete energy the schemes dissipate. A
 ``SchemeContext`` holds phi^{n-1}, the parameters and the scheme kind, and
 computes each piece of data frozen at phi^{n-1} once (``cached_property``):
 for a law with Delta C = 0, whose operators do not depend on phi^{n-1},
-it takes them from the mesh's cache, shared by every step.
+it takes them from the mesh's cache, shared by every step. It builds and
+factors every elasticity block (``SchemeContext.elasticity``).
 
 C(phi) = C_minus + pi(phi) Delta C enters every residual, Jacobian and
 energy only through the scalars pi, pi' and pi'' at the quadrature points
@@ -145,15 +146,10 @@ class SchemeContext:
 
     @cached_property
     def elastic_factor_prev(self):
-        """(A, solve): the free block A of ``elastic_matrix_prev`` and its
-        banded Cholesky solve (``grid.factorize_spd``)."""
-
-        def build():
-            free = self.mesh.free_u_dofs
-            A = self.elastic_matrix_prev[free][:, free]
-            return A, grid.factorize_spd(A)
-
-        return self._shared("elast_cholesky", build)
+        """(A, solve) of ``_free_factor`` for ``elastic_matrix_prev``."""
+        return self._shared(
+            "elast_cholesky", lambda: _free_factor(self.mesh, self.elastic_matrix_prev)
+        )
 
     @cached_property
     def coupling_prev(self):
@@ -164,6 +160,25 @@ class SchemeContext:
                 self.mesh, self.params.elastic.swelling_row(self.pi_prev_qp)
             ),
         )
+
+    def elasticity(self, state):
+        """(A, solve, G) of the elasticity solve at ``state``: the free
+        stiffness block and its solve (``_free_factor``), and the coupling.
+        The implicit scheme assembles both at pi(phi) of ``state`` each call;
+        the frozen ones return ``elastic_factor_prev`` and ``coupling_prev``.
+        """
+        if self.scheme_kind != "implicit":
+            return (*self.elastic_factor_prev, self.coupling_prev)
+        law = self.params.elastic
+        pi = law.weight(grid.scalar_at_qp(self.mesh, state.phi))
+        A = grid.assemble_vector_elasticity(self.mesh, law.c_minus, pi, law.delta)
+        G = grid.assemble_coupling(self.mesh, law.swelling_row(pi))
+        return (*_free_factor(self.mesh, A), G)
+
+    @cached_property
+    def ch_jacobian_prev(self):
+        """``ch_jacobian`` at phi^{n-1}: the matrix of the chord."""
+        return ch_jacobian(self.prev, self)
 
     @cached_property
     def ici_prev_qp(self):
@@ -209,6 +224,15 @@ class SchemeContext:
         ) - grid.assemble_scalar_load(
             self.mesh, semi_implicit_coupling_term(self.prev, self)
         )
+
+
+def _free_factor(mesh, A):
+    """(A_free, solve): the free block of the stiffness ``A``, SPD and banded
+    in the ascending order of the free dofs, and its banded Cholesky solve
+    (``grid.factorize_spd``)."""
+    free = mesh.free_u_dofs
+    A = A[free][:, free]
+    return A, grid.factorize_spd(A)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,10 @@ chord) arrives from ``schemes`` in its symmetric saddle-point form on the
 free dofs, already in a nested-dissection order fixed by the mesh, and is
 factored in that order; the mesh's ``grid.SaddlePattern`` maps right-hand
 sides (``rows``) and solutions (``unknowns``) between the (phi, mu, u)
-layout and that form. Every saddle LU is made and held by a ``LaggedLU``.
-The elasticity block's stiffness, symmetric positive definite on the free
-dofs, is factored by banded Cholesky instead (``grid.factorize_spd``).
+layout and that form. Every saddle LU is made and held by a ``LaggedLU``,
+whose ``factor`` is the package's one call of SuperLU. The elasticity
+block arrives from ``schemes`` built and factored
+(``SchemeContext.elasticity``), so no matrix is assembled here.
 
 The exact Newton solves (monolithic, and the phase-field block without the
 chord) reuse a lagged LU (``LaggedLU``): the latest saddle LU preconditions
@@ -40,14 +41,16 @@ step beyond the first cuts its residual estimate by less than
 to every time step, so a step's first matrix is solved with the previous
 step's last LU; a standalone ``newton_monolithic`` or
 ``alternating_minimization`` call makes its own. The chord solves every
-pass of a time step with one LU, of the block Jacobian at phi^{n-1}, held
-by that same ``LaggedLU`` (``_chord``).
+pass of a time step with one LU, of the block Jacobian at phi^{n-1}
+(``SchemeContext.ch_jacobian_prev``), held by that same ``LaggedLU``
+(``_chord``).
 """
 
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from . import grid, schemes
 from .acceleration import AndersonWindow
@@ -149,8 +152,9 @@ def _iterate(state, residual, step, stopping, max_iter, exhausted, r=None):
     first increment are the references of the relative criteria. A step
     raising ``_StepFailed``, a residual raising ``DivergedIterateError`` or a
     non-finite residual norm ends the iteration with that reason; running
-    out of iterations ends it with ``exhausted``. Returns the last iterate
-    and the SolveReport.
+    out of iterations ends it with ``exhausted``, followed by the first,
+    last and smallest residual norms, which tell a diverging iteration from
+    a slow one. Returns the last iterate and the SolveReport.
     """
     report = SolveReport(converged=False, iterations=0, increment_floor=stopping.tol)
     try:
@@ -172,7 +176,9 @@ def _iterate(state, residual, step, stopping, max_iter, exhausted, r=None):
             ):
                 report.converged = True
                 return state, report
-        report.reason = exhausted
+        r = report.residual_norms
+        report.reason = (f"{exhausted}: residual {r[0]:.2g} -> {r[-1]:.2g} over "
+                         f"{report.iterations} iterations (smallest {min(r):.2g})")
     except (_StepFailed, DivergedIterateError) as exc:
         report.reason = str(exc)
     return state, report
@@ -271,12 +277,16 @@ class LaggedLU:
         now on. S arrives in the nested-dissection order of its
         ``grid.SaddlePattern``, fixed by the mesh, so SuperLU keeps that
         order (it only post-orders the elimination tree) and takes diagonal
-        pivots."""
+        pivots. A RuntimeError of SuperLU (an exactly singular matrix) is
+        raised as ``grid.SingularSystemError``."""
         self.solve = None  # free the old LU before the new one is built
-        self.solve = grid.factorize(
-            S, permc_spec="NATURAL", diag_pivot_thresh=_SADDLE_PIVOT_THRESHOLD,
-            options={"SymmetricMode": True},
-        )
+        try:
+            self.solve = spla.splu(
+                S, permc_spec="NATURAL", diag_pivot_thresh=_SADDLE_PIVOT_THRESHOLD,
+                options={"SymmetricMode": True},
+            ).solve
+        except RuntimeError as exc:
+            raise grid.SingularSystemError(f"factorization failed: {exc}") from exc
         self.size = S.shape[0]
         return self.solve
 
@@ -382,7 +392,8 @@ _ch_jacobian = schemes.ch_jacobian
 
 def _chord(ctx, lagged):
     """Chord increments of the phase-field block, from one LU of its
-    Jacobian at phi^{n-1}, held by the ``LaggedLU`` ``lagged``.
+    Jacobian at phi^{n-1} (``SchemeContext.ch_jacobian_prev``), held by the
+    ``LaggedLU`` ``lagged``.
 
     The converged solution is unchanged (the residual test is exact); only
     the inner linearization is frozen, saving one factorization per inner
@@ -395,7 +406,7 @@ def _chord(ctx, lagged):
 
     def solve(state, r):
         if lagged.solve is None:
-            lagged.factor(_ch_jacobian(ctx.prev.copy(), ctx))
+            lagged.factor(ctx.ch_jacobian_prev)
         return pattern.unknowns(lagged.solve(pattern.rows(-r, ctx.params.tau)), r.size)
 
     return solve
@@ -419,34 +430,14 @@ def newton_ch_block(ctx, state, *, r, solve=None, stopping=None, max_iter=50):
 
 
 def solve_elasticity_block(ctx, state):
-    """Linear elasticity solve at the current phase field.
-
-    The implicit scheme reassembles the stiffness A and the coupling G at
-    C(phi) of the current iterate, from pi(phi) at the quadrature points
-    (``ElasticLaw.weight``), and factors A every call. The frozen schemes
-    (homogeneous, semi-implicit) use A and G at C(phi^{n-1}), with the free
-    block of A and its factor built once
-    (``SchemeContext.elastic_factor_prev``): once per step for a
-    heterogeneous law, once per mesh, ``xi`` and ``c_minus`` for a law with
-    Delta C = 0, whose C(phi^{n-1}) is C_minus. Either way the free block,
-    symmetric positive definite and banded in the ascending order of the
-    free dofs, is factored by ``grid.factorize_spd`` (banded Cholesky), so
-    a failed factorization raises ``grid.SingularSystemError``; the system
-    is solved by ``grid.solve_linear``, which checks the residual. Writes
+    """Linear elasticity solve at the current phase field, with the free
+    stiffness block, its solve and the coupling of
+    ``SchemeContext.elasticity``, checked by ``grid.solve_linear``. Writes
     the free dofs of state.u in place; its constrained dofs keep their
     values, zero in every solver's iterate.
     """
-    mesh = ctx.mesh
-    law = ctx.params.elastic
-    free = mesh.free_u_dofs
-    if ctx.scheme_kind == "implicit":
-        pi = law.weight(grid.scalar_at_qp(mesh, state.phi))
-        A = grid.assemble_vector_elasticity(mesh, law.c_minus, pi, law.delta)[free][:, free]
-        G = grid.assemble_coupling(mesh, law.swelling_row(pi))
-        solve = grid.factorize_spd(A)
-    else:
-        A, solve = ctx.elastic_factor_prev
-        G = ctx.coupling_prev
+    A, solve, G = ctx.elasticity(state)
+    free = ctx.mesh.free_u_dofs
     state.u[free] = grid.solve_linear(A, (G.T @ state.phi)[free], solve)
 
 
@@ -485,7 +476,9 @@ def alternating_minimization(
     block has at most ``_INNER_MAX_ITER[chord]`` passes; the report's
     ``inner_iterations`` totals them. With ``track_potential`` the
     report's ``potential_history`` holds the step potential of every
-    iterate whose residual was evaluated.
+    iterate whose residual was evaluated, NaN where
+    ``schemes.step_potential`` raises ``ValueError``, as at every iterate
+    of the implicit scheme, which has no step potential.
     """
     stopping = stopping or StoppingRule()
     window = AndersonWindow(anderson_depth)
@@ -498,7 +491,7 @@ def alternating_minimization(
 
     def residual(state):
         r = schemes.residual(state, ctx)
-        if track_potential and ctx.scheme_kind != "implicit":
+        if track_potential:
             try:
                 potentials.append(
                     schemes.step_potential(state, ctx, mean_tol=_POTENTIAL_MEAN_TOL)

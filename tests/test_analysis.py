@@ -7,6 +7,8 @@ space is 1/pi, both approached at second order as the mesh is refined.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cahnlarche import analysis, grid, materials
 
@@ -34,12 +36,34 @@ def test_dual_norm_rejects_nonzero_mean():
         analysis.dual_norm(np.ones(mesh.node_count), mesh)
 
 
-def test_dual_norm_cached_factorization_consistent():
+def test_dual_norm_cached_eigenbasis_consistent():
     mesh = grid.build_mesh(8)
     s = np.cos(np.pi * mesh.nodes[:, 0])
     a = analysis.dual_norm(s, mesh)
     b = analysis.dual_norm(s, mesh)
     assert a == b
+
+
+def bordered_dual_norm(s, mesh, mobility):
+    """The dual norm from its definition: (m K) v = M s - its mean, with the
+    mean of v pinned by a Lagrange multiplier, solved by sparse LU."""
+    M, K = mesh.mass, mesh.stiffness
+    a = M @ np.ones(mesh.node_count)
+    rhs = M @ s
+    rhs -= rhs.sum() / a.sum() * a
+    A = sp.bmat([[mobility * K, a[:, None]], [a[None, :], None]], format="csc")
+    v = spla.splu(A).solve(np.concatenate([rhs, [0.0]]))[:-1]
+    return np.sqrt(mobility * v @ (K @ v))
+
+
+@pytest.mark.parametrize("mobility", [1.0, 2.5])
+@pytest.mark.parametrize("n", [8, 16])
+def test_dual_norm_matches_bordered_solve(n, mobility):
+    mesh = grid.build_mesh(n)
+    s = np.random.default_rng(n).standard_normal(mesh.node_count)
+    s -= (mesh.mass @ s).sum() / mesh.mass.sum()
+    want = bordered_dual_norm(s, mesh, mobility)
+    assert analysis.dual_norm(s, mesh, mobility) == pytest.approx(want, rel=1e-12)
 
 
 def test_poincare_constant_convergence():

@@ -249,10 +249,9 @@ class TestOutputs:
 
     def test_vtk_snapshot(self, tmp_path):
         summary, cfg = self.make_summary(tmp_path)
-        mesh = grid.build_mesh(cfg.n)
+        mesh = summary.final_state.mesh
         harness.write_outputs(
-            summary, cfg.out_dir, mesh=mesh,
-            snapshots=[("final", summary.final_state)],
+            summary, cfg.out_dir, snapshots=[("final", summary.final_state)]
         )
         path = os.path.join(cfg.out_dir, "snapshot_final.vtk")
         with open(path) as fh:
@@ -274,7 +273,7 @@ class TestOutputs:
         )
         state.x[:6] = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1 / 3]
         path = tmp_path / "s.vtk"
-        harness.write_vtk(path, mesh, state, "t")
+        harness.write_vtk(path, state, "t")
         n = mesh.n_per_side
         want = [
             "# vtk DataFile Version 3.0", "t", "ASCII", "DATASET STRUCTURED_GRID",
@@ -349,7 +348,7 @@ class TestCli:
         # written on the run's own mesh, the initial snapshot is that of a fresh one
         mesh = grid.build_mesh(8)
         want = tmp_path / "want.vtk"
-        harness.write_vtk(want, mesh, harness.initial_state(mesh, config), "initial")
+        harness.write_vtk(want, harness.initial_state(mesh, config), "initial")
         assert (tmp_path / "o" / "snapshot_initial.vtk").read_text() == want.read_text()
 
     def test_run_snapshots_keep_their_step(self, tmp_path, monkeypatch, capsys):
@@ -366,7 +365,7 @@ class TestCli:
 
             return simulate(config, callback=record, **kwargs)
 
-        def capture(summary, out_dir, mesh=None, snapshots=()):
+        def capture(summary, out_dir, snapshots=()):
             written.update(snapshots)
 
         monkeypatch.setattr(harness, "run_simulation", recording)
@@ -430,6 +429,21 @@ class TestCli:
             cli.main(["constants", flag, value])
         assert exc.value.code == 2
         assert f"{field} must be" in capsys.readouterr().err
+
+    def test_flags_set_their_fields(self, monkeypatch):
+        # each flag given sets its RunConfig field; the others keep defaults
+        from cahnlarche import cli
+
+        got = []
+        monkeypatch.setattr(cli, "cmd_constants", lambda args: got.append(cli._load_config(args)))
+        cli.main(["constants", "--out", "o", "--seed", "3", "--strategy", "alternating",
+                  "--scheme", "implicit", "--depth", "2", "--n", "9", "--gamma", "4",
+                  "--xi", "0.5", "--t-final", "3e-5", "--init", "random"])
+        want = dict(out_dir="o", seed=3, strategy="alternating", scheme="implicit",
+                    anderson_depth=2, n=9, gamma=4.0, xi=0.5, t_final=3e-5, init="random")
+        assert {k: getattr(got[0], k) for k in want} == want
+        cli.main(["constants"])
+        assert got[1] == harness.RunConfig()
 
     def test_non_finite_flag_is_a_usage_error(self, capsys):
         from cahnlarche import cli

@@ -85,3 +85,28 @@ def test_test_side_tools_are_defined_and_uncalled():
     referenced, defined = scan()
     uncalled = {qualified for qualified, name in defined if name not in referenced}
     assert TEST_SIDE_TOOLS <= uncalled
+
+
+def identifiers(path):
+    """Every name and attribute name the module at ``path`` uses."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_superlu_is_called_from_solvers_alone():
+    # LaggedLU.factor is the package's one SuperLU factorization
+    users = sorted(p.stem for p in SRC.glob("*.py") if "splu" in identifiers(p))
+    assert users == ["solvers"]
+
+
+def test_solvers_build_no_matrix():
+    # every matrix reaches the solvers built (and the elasticity block
+    # factored) by schemes; the scheme's kind is not tested there
+    used = identifiers(SRC / "solvers.py")
+    assert "scheme_kind" not in used and "factorize_spd" not in used
+    assert [name for name in used if name.startswith("assemble_")] == []

@@ -498,6 +498,42 @@ def test_frozen_mu_load_assembled_once(kind, monkeypatch):
     assert len(calls) == 2  # one for each of its two loads
 
 
+@pytest.mark.parametrize("kind", ["homogeneous", "semi_implicit"])
+def test_frozen_elasticity_is_the_step_factor(kind, monkeypatch):
+    # A frozen scheme's elasticity solve at any state is the free block,
+    # factor and coupling held for the step, with nothing assembled anew.
+    rng = np.random.Generator(np.random.PCG64(5))
+    ctx = make_ctx(grid.build_mesh(4), kind, rng)
+    A, solve = ctx.elastic_factor_prev
+    G = ctx.coupling_prev
+    calls, assemble = [], grid.assemble_vector_elasticity
+    monkeypatch.setattr(
+        grid, "assemble_vector_elasticity", lambda *a: calls.append(1) or assemble(*a)
+    )
+    got = ctx.elasticity(random_state(ctx.mesh, rng))
+    assert all(x is y for x, y in zip(got, (A, solve, G)))
+    assert calls == []
+
+
+def test_implicit_elasticity_assembles_at_the_state():
+    # The implicit scheme's elasticity solve is built at pi(phi) of the
+    # state it is given, not of phi^{n-1}.
+    rng = np.random.Generator(np.random.PCG64(6))
+    ctx = make_ctx(grid.build_mesh(4), "implicit", rng)
+    state = random_state(ctx.mesh, rng)
+    law, free = ctx.params.elastic, ctx.mesh.free_u_dofs
+    pi = law.weight(grid.scalar_at_qp(ctx.mesh, state.phi))
+    want_A = grid.assemble_vector_elasticity(ctx.mesh, law.c_minus, pi, law.delta)
+    want_G = grid.assemble_coupling(ctx.mesh, law.swelling_row(pi))
+    A, solve, G = ctx.elasticity(state)
+    assert np.array_equal(A.toarray(), want_A[free][:, free].toarray())
+    assert np.array_equal(G.toarray(), want_G.toarray())
+    b = (G.T @ state.phi)[free]
+    assert np.allclose(A @ solve(b), b, rtol=0.0, atol=1e-12 * np.abs(b).max())
+    prev_A, _, _ = ctx.elasticity(ctx.prev)
+    assert not np.array_equal(A.toarray(), prev_A.toarray())
+
+
 def test_elastic_derivative_independent_oracle():
     # loop-based reimplementation of 0.5 e:C'e - xi I:Ce at a few points
     law = materials.ElasticLaw(xi=0.7)

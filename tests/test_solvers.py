@@ -103,6 +103,18 @@ class TestNewtonMonolithic:
         assert not rep.converged
         assert rep.reason
 
+    def test_exhausted_reason_names_the_residuals(self):
+        # Running out of iterations says where the residual went: its first,
+        # last and smallest norms over the executed passes.
+        ctx, prev = midsplit_ctx()
+        _, rep = solvers.newton_monolithic(ctx, prev, max_iter=2)
+        r = rep.residual_norms
+        assert not rep.converged and len(r) == 3
+        assert rep.reason == (
+            f"maximum Newton iterations reached: residual {r[0]:.2g} -> {r[-1]:.2g}"
+            f" over 2 iterations (smallest {min(r):.2g})"
+        )
+
 
 class TestPhaseFieldBlock:
     def test_nonconvergence_reported_not_raised(self):
@@ -264,11 +276,13 @@ class TestSaddleForm:
     @pytest.mark.parametrize("chord", [False, True])
     @pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
     def test_singular_phase_field_block_fails_step(self, kind, chord, monkeypatch):
+        # exact Newton takes the block Jacobian from solvers, the chord from
+        # schemes (SchemeContext.ch_jacobian_prev)
         ctx, state = random_ctx(4, kind)
-        jac = solvers._ch_jacobian
-        monkeypatch.setattr(
-            solvers, "_ch_jacobian", lambda st, c: self.singular(jac(st, c))
-        )
+        jac = schemes.ch_jacobian
+        singular = lambda st, c: self.singular(jac(st, c))
+        monkeypatch.setattr(solvers, "_ch_jacobian", singular)
+        monkeypatch.setattr(schemes, "ch_jacobian", singular)
         r = schemes.ch_residual(state, ctx)
         solve = solvers._chord(ctx, solvers.LaggedLU()) if chord else None
         _, rep = solvers.newton_ch_block(ctx, state, r=r, solve=solve)
@@ -764,6 +778,15 @@ class TestAlternatingMinimization:
         ctx, prev = midsplit_ctx(kind="implicit")
         state, rep = solvers.alternating_minimization(ctx, prev)
         assert rep.converged
+
+    def test_implicit_scheme_tracks_no_potential(self):
+        # The implicit scheme has no step potential: every evaluated
+        # iterate records NaN.
+        ctx, prev = midsplit_ctx(kind="implicit")
+        _, rep = solvers.alternating_minimization(ctx, prev, track_potential=True)
+        assert rep.converged
+        assert len(rep.potential_history) == len(rep.residual_norms)
+        assert np.isnan(rep.potential_history).all()
 
     def test_inner_failure_reported(self, monkeypatch):
         ctx, prev = midsplit_ctx()
