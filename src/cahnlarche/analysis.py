@@ -143,8 +143,9 @@ def rate_bound(params, constants):
     For a heterogeneous law the coupling strength is measured by the
     spectral bounds of the interpolated tensor times I . I = 2 (the trace
     of the identity in Voigt form in two dimensions); a law with Delta C = 0
-    uses the exact scalar I : C_minus I instead. The Lipschitz constant of
-    the derivative of the convex double-well part is the measured one.
+    uses the exact xi^2 I : C_minus I (``ElasticLaw.swelling_modulus``). The
+    Lipschitz constant of the derivative of the convex double-well part is
+    the measured one.
     """
     law = params.elastic
     lipschitz_psi = params.double_well.measured_lipschitz()
@@ -153,8 +154,7 @@ def rate_bound(params, constants):
         couple_lo = law.xi**2 * 2.0 * c_lo
         couple_hi = law.xi**2 * 2.0 * c_hi
     else:
-        ici = float(grid.I_VOIGT @ law.c_minus @ grid.I_VOIGT)
-        couple_lo = couple_hi = law.xi**2 * ici
+        couple_lo = couple_hi = float(law.swelling_modulus(0.0))
 
     h2_term = constants.h**2 / (params.tau * constants.inverse**2)
     grad_term = params.gamma * params.ell / constants.poincare**2

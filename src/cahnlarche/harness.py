@@ -78,6 +78,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+            setattr(self, name, float(value))  # a numpy float becomes a float
         for name, ok, need in (
             ("n", self.n >= 2, ">= 2"),
             ("tau", self.tau > 0, "> 0"),
@@ -275,10 +276,9 @@ def run_simulation(config, callback=None, estimate_bound=False):
         )
         if not report.converged:
             summary.failed_at_step = k
-            summary.failure_reason = report.reason or "did not converge"
+            summary.failure_reason = report.reason
             break
         state = new_state
-        res = report.residual_norms[-1] if report.residual_norms else float("nan")
         summary.steps.append(
             _make_record(
                 k,
@@ -286,7 +286,7 @@ def run_simulation(config, callback=None, estimate_bound=False):
                 report.effective_iterations,
                 report.iterations,
                 report.inner_iterations,
-                res,
+                report.residual_norms[-1],
                 state,
                 params,
             )

@@ -143,12 +143,13 @@ class ElasticLaw:
     xi: float = 1.0
 
     def __post_init__(self):
-        for name, C in (("c_minus", self.c_minus), ("c_plus", self.c_plus)):
-            C = np.asarray(C, dtype=float)
+        for name in ("c_minus", "c_plus"):
+            C = np.asarray(getattr(self, name), dtype=float)
             if C.shape != (3, 3) or not np.allclose(C, C.T, atol=1e-12):
                 raise ValueError(f"{name} must be a symmetric 3x3 Voigt matrix")
             if np.min(np.linalg.eigvalsh(C)) <= 0:
                 raise ValueError(f"{name} must be positive definite")
+            object.__setattr__(self, name, C)  # a list is stored as the checked array
 
     @property
     def delta(self):

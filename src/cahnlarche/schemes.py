@@ -15,7 +15,9 @@ convex potentials for the three schemes:
 All residuals use the sign conventions of the variational statements; at a
 fixed point mu equals the variational derivative of the free energy.
 Dirichlet rows of the displacement block are replaced by value residuals.
-Jacobians come in symmetric saddle form on the free dofs (``jacobian``).
+Residual and Jacobian have one kernel each, testing the scheme once
+(``_residual``, ``_jacobian_blocks``); the Cahn-Hilliard block is the kernel
+without the u rows. Jacobians come in symmetric saddle form on the free dofs.
 The free energy and the step potentials share one quadrature (``_energies``)
 on the 2x2 rule the residuals use: the discrete energy the schemes dissipate. A
 ``SchemeContext`` holds phi^{n-1}, the parameters and the scheme kind, and
@@ -130,8 +132,7 @@ class SchemeContext:
         law = self.params.elastic
         if law.heterogeneous:
             return build()
-        c_minus = np.asarray(law.c_minus, dtype=float)
-        return self.mesh.cached((name, law.xi, c_minus.tobytes()), build)
+        return self.mesh.cached((name, law.xi, law.c_minus.tobytes()), build)
 
     @cached_property
     def elastic_matrix_prev(self):
@@ -181,15 +182,14 @@ class SchemeContext:
         return ch_jacobian(self.prev, self)
 
     @cached_property
-    def ici_prev_qp(self):
-        """xi^2 I:C(phi^{n-1})I at quadrature points."""
-        return self.params.elastic.swelling_modulus(self.pi_prev_qp)
-
-    @cached_property
     def coupled_mass_prev(self):
         """Weighted mass with weight xi^2 I:C(phi^{n-1})I."""
+        law = self.params.elastic
         return self._shared(
-            "W_prev", lambda: grid.assemble_weighted_mass(self.mesh, self.ici_prev_qp)
+            "W_prev",
+            lambda: grid.assemble_weighted_mass(
+                self.mesh, law.swelling_modulus(self.pi_prev_qp)
+            ),
         )
 
     @cached_property
@@ -355,72 +355,50 @@ def residual(state, ctx):
     return out
 
 
-def _jacobian_qp(state, ctx):
-    """Fields at quadrature points shared by the blocks of a Jacobian.
-
-    phi, and for the implicit scheme the misfit e = eps(u) - xi phi I,
-    Delta C e and the weights pi, pi', pi'' of C(phi); None for the others.
+def _jacobian_blocks(state, ctx, u_rows):
+    """The kernel of ``jacobian`` and, without ``u_rows``, of ``ch_jacobian``:
+    the data of the blocks of ``residual``'s derivative J in J's own rows,
+    each on its source pattern (``grid.SaddlePattern``, which scales the phi
+    rows by tau, making J symmetric). The coupling and u blocks span every u
+    dof, the constrained ones included. The implicit scheme evaluates e,
+    Delta C e and pi, pi', pi'' at the quadrature points; the frozen ones
+    take W, G and A of phi^{n-1} from ``ctx``. Terms are combined after
+    assembly and in the order written, M * (1 / tau) included: another order
+    changes the round-off of every Newton step.
     """
-    phi_qp = grid.scalar_at_qp(ctx.mesh, state.phi)
-    if ctx.scheme_kind != "implicit":
-        return phi_qp, None
-    law = ctx.params.elastic
-    e, dce = _misfit_qp(law, phi_qp, grid.strain_at_qp(ctx.mesh, state.u))
-    return phi_qp, (e, dce, *(law.weight(phi_qp, k) for k in range(3)))
-
-
-def _phase_field_blocks(ctx, phi_qp, fields):
-    """Data of d(r_mu, r_phi) / d(phi, mu), on the scalar pattern.
-
-    ``grid.SaddlePattern.matrix`` scales the phi rows by tau, which makes
-    the block symmetric. Terms are combined after assembly and in the order
-    written, M * (1 / tau) included: another order changes the round-off of
-    every Newton step.
-    """
-    params = ctx.params
+    mesh, params = ctx.mesh, ctx.params
     law = params.elastic
-    M, K = ctx.mesh.mass.data, ctx.mesh.stiffness.data
-    psi_cc = grid.assemble_weighted_mass(
-        ctx.mesh, params.double_well.psi_c_second(phi_qp)
-    ).data
-    mu_phi = -params.gamma * params.ell * K - (params.gamma / params.ell) * psi_cc
+    M, K = mesh.mass.data, mesh.stiffness.data
+    phi_qp = grid.scalar_at_qp(mesh, state.phi)
+    psi_cc = grid.assemble_weighted_mass(mesh, params.double_well.psi_c_second(phi_qp))
+    mu_phi = -params.gamma * params.ell * K - (params.gamma / params.ell) * psi_cc.data
     if ctx.scheme_kind == "implicit":
+        e, dce = _misfit_qp(law, phi_qp, grid.strain_at_qp(mesh, state.u))
+        pi, pi1, pi2 = (law.weight(phi_qp, k) for k in range(3))
         # 0.5 e:C''e - 2 xi I:C'e + xi^2 I:C:I
-        e, dce, pi, pi1, pi2 = fields
         g = (
             0.5 * pi2 * np.einsum("eqc,eqc->eq", e, dce)
             - 2.0 * law.xi * pi1 * _voigt(dce, I_VOIGT)
             + law.swelling_modulus(pi)
         )
-        mu_phi = mu_phi - grid.assemble_weighted_mass(ctx.mesh, g).data
+        W = grid.assemble_weighted_mass(mesh, g).data
+        if u_rows:
+            # d(dE/dphi)/du in direction eps(du): e:C' eps(du) - xi I:C eps(du)
+            w = pi1[..., None] * dce - law.swelling_row(pi)
+            G = -grid.assemble_coupling(mesh, w).data
+            A = grid.assemble_vector_elasticity(mesh, law.c_minus, pi, law.delta).data
     else:
-        mu_phi = mu_phi - ctx.coupled_mass_prev.data
-    return {
-        "mu_phi": mu_phi,
+        W = ctx.coupled_mass_prev.data
+        if u_rows:
+            G, A = ctx.coupling_prev.data, ctx.elastic_matrix_prev.data
+    blocks = {
+        "mu_phi": mu_phi - W,
         "mu_mu": M,
         "phi_phi": M * (1 / params.tau),
         "phi_mu": params.m * K,
     }
-
-
-def _jacobian_blocks(state, ctx):
-    """Data of the blocks of ``residual``'s derivative J, in J's own rows,
-    each on its source pattern (``grid.SaddlePattern``). The coupling and u
-    blocks span every u dof, the constrained ones included."""
-    mesh = ctx.mesh
-    law = ctx.params.elastic
-    phi_qp, fields = _jacobian_qp(state, ctx)
-    if ctx.scheme_kind == "implicit":
-        # d(dE/dphi)/du in direction eps(du): e:C' eps(du) - xi I:C eps(du)
-        _, dce, pi, pi1, _ = fields
-        w = pi1[..., None] * dce - law.swelling_row(pi)
-        G = -grid.assemble_coupling(mesh, w).data
-        A = grid.assemble_vector_elasticity(mesh, law.c_minus, pi, law.delta).data
-    else:
-        G = ctx.coupling_prev.data
-        A = ctx.elastic_matrix_prev.data
-    blocks = _phase_field_blocks(ctx, phi_qp, fields)
-    blocks.update(mu_u=G, u_phi=-G, u_u=A)
+    if u_rows:
+        blocks.update(mu_u=G, u_phi=-G, u_u=A)
     return blocks
 
 
@@ -435,7 +413,7 @@ def jacobian(state, ctx):
     computed here.
     """
     pattern = ctx.mesh.saddle_pattern(full=True)
-    return pattern.matrix(_jacobian_blocks(state, ctx), ctx.params.tau)
+    return pattern.matrix(_jacobian_blocks(state, ctx, u_rows=True), ctx.params.tau)
 
 
 def ch_residual(state, ctx):
@@ -446,8 +424,8 @@ def ch_residual(state, ctx):
 
 def ch_jacobian(state, ctx):
     """(phi, mu) block of ``jacobian`` at frozen displacement, in saddle form."""
-    blocks = _phase_field_blocks(ctx, *_jacobian_qp(state, ctx))
-    return ctx.mesh.saddle_pattern(full=False).matrix(blocks, ctx.params.tau)
+    pattern = ctx.mesh.saddle_pattern(full=False)
+    return pattern.matrix(_jacobian_blocks(state, ctx, u_rows=False), ctx.params.tau)
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,8 @@ class SolveReport:
     counts only the passes that moved the iterate by more than the
     increment tolerance; the terminal pass of a converged solve merely
     confirms that the iterate stopped changing and is excluded, matching
-    the usual reporting of iteration counts.
+    the usual reporting of iteration counts. A failed report always has a
+    ``reason``: ``_iterate`` sets one on every path that fails.
     """
 
     converged: bool

@@ -61,6 +61,18 @@ class TestRunConfig:
         assert (cfg.n, cfg.anderson_depth, cfg.seed) == (8, 2, 3)
         assert type(cfg.n) is int and type(cfg.seed) is int
 
+    def test_accepts_numpy_floats(self, tmp_path):
+        # stored as floats, so the run's record is JSON
+        cfg = harness.RunConfig(
+            n=np.int64(8), gamma=np.float32(5), tau=np.float64(1e-5), t_final=2e-5,
+            out_dir=str(tmp_path),
+        )
+        assert type(cfg.gamma) is float and type(cfg.tau) is float
+        assert cfg.gamma == 5.0
+        harness.write_outputs(harness.run_simulation(cfg), cfg.out_dir)
+        with open(tmp_path / "run.json") as fh:
+            assert json.load(fh)["config"]["gamma"] == 5.0
+
     @pytest.mark.parametrize(
         "field, value", [("m", 0.0), ("gamma", -5.0), ("ell", 0.0), ("theta", 1.0)]
     )

@@ -144,6 +144,17 @@ class TestElasticLaw:
         assert hi >= evs.max() - 1e-9
         assert lo > 0
 
+    def test_list_tensors_are_stored_as_float_arrays(self):
+        law = materials.ElasticLaw(
+            c_minus=materials.C_MINUS_DEFAULT.tolist(),
+            c_plus=[[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+        )
+        for C in (law.c_minus, law.c_plus):
+            assert isinstance(C, np.ndarray) and C.dtype == float
+        assert np.array_equal(law.c_minus, materials.C_MINUS_DEFAULT)
+        assert np.array_equal(law.delta, law.c_plus - materials.C_MINUS_DEFAULT)
+        assert law.heterogeneous
+
     def test_rejects_nonspd(self):
         bad = np.array([[1.0, 3.0, 0.0], [3.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError):

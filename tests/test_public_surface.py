@@ -110,3 +110,26 @@ def test_solvers_build_no_matrix():
     used = identifiers(SRC / "solvers.py")
     assert "scheme_kind" not in used and "factorize_spd" not in used
     assert [name for name in used if name.startswith("assemble_")] == []
+
+
+def test_scheme_is_read_once_per_kernel():
+    # the residual and the Jacobian kernel test the scheme once each; the
+    # others check it (the context, and the two frozen-scheme functions
+    # that reject the implicit scheme) or pick the elasticity solve
+    readers = set()
+    for node in ast.parse((SRC / "schemes.py").read_text()).body:
+        owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for fn in node.body if owner else [node]:
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(n, ast.Attribute) and n.attr == "scheme_kind"
+                for n in ast.walk(fn)
+            ):
+                readers.add(owner + fn.name)
+    assert readers == {
+        "SchemeContext.__post_init__",
+        "SchemeContext.elasticity",
+        "semi_implicit_coupling_term",
+        "_residual",
+        "_jacobian_blocks",
+        "step_potential",
+    }

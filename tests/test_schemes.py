@@ -122,7 +122,7 @@ def expand_saddle(state, ctx):
         p = mesh.pattern(kind)
         return sp.csr_matrix((data, p.indices, p.indptr), shape=p.shape).toarray()
 
-    blocks = schemes._jacobian_blocks(state, ctx)
+    blocks = schemes._jacobian_blocks(state, ctx, u_rows=True)
     c = 2 * ctx.mesh.node_count + ctx.mesh.constrained_u_dofs
     free = np.setdiff1d(np.arange(2 * nn, 4 * nn), c)
     J[nn : 2 * nn, c] = on_pattern(blocks["mu_u"], "coupling")[:, c - 2 * nn]
@@ -341,10 +341,10 @@ def test_weighted_assembly_matches_per_point_tensors(heterogeneous):
     swelling = law.xi * np.einsum("c,eqcd->eqd", I_VOIGT, C)
     close(ctx.coupling_prev, per_point_coupling(mesh, swelling))
     ici = law.xi**2 * np.einsum("c,eqcd,d->eq", I_VOIGT, C, I_VOIGT)
-    close(ctx.ici_prev_qp, ici)
+    close(ctx.coupled_mass_prev, grid.assemble_weighted_mass(mesh, ici))
 
     ctx = schemes.SchemeContext(prev=prev, params=params, scheme_kind="implicit")
-    blocks = schemes._jacobian_blocks(state, ctx)
+    blocks = schemes._jacobian_blocks(state, ctx, u_rows=True)
     phi_qp = grid.scalar_at_qp(mesh, state.phi)
     C, Cp = law.tensor(phi_qp), law.tensor_prime(phi_qp)
     e = grid.strain_at_qp(mesh, state.u) - law.xi * phi_qp[..., None] * I_VOIGT
